@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.mem.access import AccessStream, StreamResult, TierSplit
 from repro.mem.page import Tier
-from repro.mem.pebs import PebsEventKind, PebsRecord
+from repro.mem.pebs import PebsEventKind
 from repro.mem.sampling import WeightedSampler
 from repro.obs.events import PebsDrain
 from repro.sim.service import Service
@@ -88,26 +88,28 @@ class PebsSource(AccessSource):
         if dram_loads > 0:
             pebs.feed(
                 _DRAM_READ,
+                region,
                 dram_loads,
-                lambda n: self._tier_records(_DRAM_READ, stream, _DRAM, n),
+                lambda n: self._tier_pages(stream, _DRAM, n),
             )
         if nvm_loads > 0:
             pebs.feed(
                 _NVM_READ,
+                region,
                 nvm_loads,
-                lambda n: self._tier_records(_NVM_READ, stream, _NVM, n),
+                lambda n: self._tier_pages(stream, _NVM, n),
             )
         if stores > 0:
             pebs.feed(
                 _STORE,
+                region,
                 stores,
-                lambda n: self._store_records(stream, n),
+                lambda n: self._store_pages(stream, n),
             )
 
     # -- samplers ------------------------------------------------------------
-    def _tier_records(self, kind: PebsEventKind, stream: AccessStream,
-                      tier: Tier, n: int) -> List[PebsRecord]:
-        """Draw load records conditioned on the serving tier.
+    def _tier_pages(self, stream: AccessStream, tier: Tier, n: int) -> List[int]:
+        """Draw up to ``n`` load pages conditioned on the serving tier.
 
         Rejection sampling against the unconditional distribution: the
         acceptance rate equals the tier fraction, and the number of records
@@ -117,27 +119,23 @@ class PebsSource(AccessSource):
         region = stream.region
         region_tier = region.tier
         tier_value = int(tier)
-        records: List[PebsRecord] = []
+        pages: List[int] = []
         attempts = 0
-        while len(records) < n and attempts < 8:
-            want = (n - len(records)) * 2 + 8
+        while len(pages) < n and attempts < 8:
+            want = (n - len(pages)) * 2 + 8
             draw = self._sampler.sample(region.n_pages, stream.weights, want)
             # Test only the drawn indices against the tier instead of
             # materialising a full per-page mask each call; the accepted
             # set (and therefore the RNG draw sequence) is unchanged.
             accepted = draw[region_tier[draw] == tier_value]
-            records.extend(
-                PebsRecord(kind, region, int(page))
-                for page in accepted[: n - len(records)].tolist()
-            )
+            pages += accepted[: n - len(pages)].tolist()
             attempts += 1
-        return records
+        return pages
 
-    def _store_records(self, stream: AccessStream, n: int) -> List[PebsRecord]:
+    def _store_pages(self, stream: AccessStream, n: int) -> List[int]:
         region = stream.region
         weights = stream.write_weights if stream.write_weights is not None else stream.weights
-        draw = self._sampler.sample(region.n_pages, weights, n)
-        return [PebsRecord(_STORE, region, p) for p in draw.tolist()]
+        return self._sampler.sample(region.n_pages, weights, n).tolist()
 
 
 class _PebsDrainService(Service):
@@ -165,17 +163,15 @@ class _PebsDrainService(Service):
         spec = pebs.spec
         # One thread can process at most dt / cost-per-record records.
         budget = int(dt / (spec.drain_ns_per_record * 1e-9))
-        records = pebs.drain(budget)
-        tracker = self.source.manager.tracker
-        applied = min(len(records), self.APPLY_CAP_PER_TICK)
+        batch = pebs.drain(budget)
+        drained = len(batch)
+        applied = min(drained, self.APPLY_CAP_PER_TICK)
         # Batched apply: one tracker call per tick, with trace events
         # accumulated and flushed in order (bit-identical goldens).
-        tracker.record_samples(
-            records if applied == len(records) else records[:applied]
-        )
+        self.source.manager.tracker.record_samples(batch.head(applied))
         tracer = engine.machine.tracer
-        if tracer is not None and records:
-            tracer.emit(PebsDrain(now, len(records), applied))
+        if tracer is not None and drained:
+            tracer.emit(PebsDrain(now, drained, applied))
         return dt  # busy-polling: the whole tick, records or not
 
 

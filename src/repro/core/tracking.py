@@ -255,17 +255,23 @@ class HotColdTracker:
         self._reclassify(pid)
         return PageRef(store, pid)
 
-    def record_samples(self, records) -> None:
+    def record_samples(self, chunks) -> None:
         """Apply a batch of PEBS records (the drain-thread hot loop).
 
-        Operation-for-operation identical to calling :meth:`record_sample`
-        per record; trace events produced by the batch (``CoolingPass``,
-        ``PageClassified``) are accumulated in order and flushed to the
-        tracer in a single ``extend``, so the trace stays bit-identical.
+        ``chunks`` iterates ``(kind, region, pages)`` runs of records, e.g.
+        a :class:`~repro.mem.pebs.PebsBatch`.  Operation-for-operation
+        identical to calling :meth:`record_sample` per record; trace events
+        produced by the batch (``CoolingPass``, ``PageClassified``) are
+        accumulated in order and flushed to the tracer in a single
+        ``extend``, so the trace stays bit-identical.
         """
-        if self.profile is not None:
-            self._record_samples_profiled(records)
-            return
+        if self.profile is None:
+            self._apply_samples(chunks)
+        else:
+            self._apply_samples_timed(chunks)
+
+    def _apply_samples(self, chunks) -> int:
+        """The :meth:`record_samples` loop; returns the records applied."""
         store = self.store
         reads = store.reads
         writes = store.writes
@@ -281,6 +287,10 @@ class HotColdTracker:
         # bound policy enabled it, so the default path's per-store cost is
         # one ``is not None`` test.
         shadow = store.shadow if self._shadow_tracking else None
+        # Looked up once per batch, after any REPRO_PROFILE lap wrappers
+        # were installed on the instance.
+        cool_if_stale = self.cool_if_stale
+        reclassify = self._reclassify
         tracer = self._tracer
         events = None
         if tracer is not None:
@@ -292,146 +302,98 @@ class HotColdTracker:
             last_region = None
             n_samples = 0
             gclock = self.global_clock
-            for kind, region, page in records:
+            for kind, region, pages in chunks:
                 if region is not last_region:
                     base = bind(region)
                     last_region = region
-                pid = base + page
-                if not flags[pid] & TRACKED:
-                    self._track_pid(pid, region, page)
-                if gclock - clock[pid] > 0:
-                    self.cool_if_stale(pid)
                 if kind is _STORE_KIND:
-                    writes[pid] += 1
-                    if shadow is not None and shadow[pid] >= 0:
-                        flags[pid] |= DIRTY
+                    counts = writes
+                    dirty = shadow
                 else:
-                    reads[pid] += 1
-                n_samples += 1
-                r = reads[pid]
-                w = writes[pid]
-                if r + w >= cooling_threshold:
-                    self._advance_clock()
-                    gclock = self.global_clock
-                    self.cool_if_stale(pid)
+                    counts = reads
+                    dirty = None
+                n_samples += len(pages)
+                for page in pages:
+                    pid = base + page
+                    if not flags[pid] & TRACKED:
+                        self._track_pid(pid, region, page)
+                    if gclock - clock[pid] > 0:
+                        cool_if_stale(pid)
+                    counts[pid] += 1
+                    if dirty is not None and dirty[pid] >= 0:
+                        flags[pid] |= DIRTY
                     r = reads[pid]
                     w = writes[pid]
-                if (
-                    r < hot_reads
-                    and w < hot_writes
-                    and not flags[pid] & skip_mask
-                    and list_id[pid] == tier_col[pid] << 1
-                ):
-                    # Cold page staying cold, already on its tier's cold
-                    # list, no write-heavy bit to clear: _reclassify would
-                    # be a provable no-op, so skip the call.
-                    continue
-                self._reclassify(pid)
+                    if r + w >= cooling_threshold:
+                        self._advance_clock()
+                        gclock = self.global_clock
+                        cool_if_stale(pid)
+                        r = reads[pid]
+                        w = writes[pid]
+                    if (
+                        r < hot_reads
+                        and w < hot_writes
+                        and not flags[pid] & skip_mask
+                        and list_id[pid] == tier_col[pid] << 1
+                    ):
+                        # Cold page staying cold, already on its tier's
+                        # cold list, no write-heavy bit to clear:
+                        # _reclassify would be a provable no-op, so skip
+                        # the call.
+                        continue
+                    reclassify(pid)
             if n_samples:
                 self._samples.add(n_samples)
         finally:
             self._event_buffer = None
         if events:
             tracer.events.extend(events)
+        return n_samples
 
-    def _record_samples_profiled(self, records) -> None:
-        """REPRO_PROFILE fallback for :meth:`record_samples`.
+    def _apply_samples_timed(self, chunks) -> None:
+        """REPRO_PROFILE: run :meth:`_apply_samples` with phase laps.
 
-        Same batch, same operation order (goldens and traces stay
-        bit-identical), but each record's work is attributed to one of
-        three phases accumulated in :attr:`profile`:
-
-        - ``drain``   — region binding, first-touch tracking, counter
-          increments, and the no-op skip test,
-        - ``cool``    — lazy cooling (including the cooled page's
-          reclassification) and cooling-clock advances,
-        - ``classify``— :meth:`_reclassify` calls for pages whose state
-          may have changed.
-
-        The timer overhead lands inside the measured phases, so absolute
-        numbers run slower than the fast path; the *split* between phases
-        is what this mode is for.
+        For the batch only, instance-level wrappers time lazy cooling
+        (:meth:`cool_if_stale`, including the reclassification it does)
+        and clock advances as ``cool``, and the remaining
+        :meth:`_reclassify` calls as ``classify``; ``drain`` is the
+        batch's time minus both (region binding, first-touch tracking,
+        counter increments, the no-op skip test).  A wrapped call nested
+        in another is charged to the outer one only.  Same loop, same
+        operation order, so goldens and traces stay bit-identical; the
+        timer overhead lands in the measured phases.
         """
         prof = self.profile
-        store = self.store
-        reads = store.reads
-        writes = store.writes
-        clock = store.clock
-        flags = store.flags
-        list_id = store.list_id
-        tier_col = store.tier
-        cooling_threshold = self._cooling_threshold
-        hot_reads = self._hot_reads
-        hot_writes = self._hot_writes
-        skip_mask = WRITE_HEAVY | UNDER_MIGRATION
-        shadow = store.shadow if self._shadow_tracking else None
-        tracer = self._tracer
-        events = None
-        if tracer is not None:
-            events = []
-            self._event_buffer = events
-        drain_ns = cool_ns = classify_ns = 0
-        n_samples = 0
-        try:
-            bind = store.bind_region
-            base = -1
-            last_region = None
-            gclock = self.global_clock
-            t0 = perf_counter_ns()
-            for kind, region, page in records:
-                if region is not last_region:
-                    base = bind(region)
-                    last_region = region
-                pid = base + page
-                if not flags[pid] & TRACKED:
-                    self._track_pid(pid, region, page)
-                if gclock - clock[pid] > 0:
-                    t1 = perf_counter_ns()
-                    drain_ns += t1 - t0
-                    self.cool_if_stale(pid)
-                    t0 = perf_counter_ns()
-                    cool_ns += t0 - t1
-                if kind is _STORE_KIND:
-                    writes[pid] += 1
-                    if shadow is not None and shadow[pid] >= 0:
-                        flags[pid] |= DIRTY
-                else:
-                    reads[pid] += 1
-                n_samples += 1
-                r = reads[pid]
-                w = writes[pid]
-                if r + w >= cooling_threshold:
-                    t1 = perf_counter_ns()
-                    drain_ns += t1 - t0
-                    self._advance_clock()
-                    gclock = self.global_clock
-                    self.cool_if_stale(pid)
-                    t0 = perf_counter_ns()
-                    cool_ns += t0 - t1
-                    r = reads[pid]
-                    w = writes[pid]
-                if (
-                    r < hot_reads
-                    and w < hot_writes
-                    and not flags[pid] & skip_mask
-                    and list_id[pid] == tier_col[pid] << 1
-                ):
-                    continue
-                t1 = perf_counter_ns()
-                drain_ns += t1 - t0
-                self._reclassify(pid)
+        spent = {"cool": 0, "classify": 0}
+        depth = 0
+
+        def lap(fn, phase):
+            def timed(*args, **kwargs):
+                nonlocal depth
+                if depth:
+                    return fn(*args, **kwargs)
+                depth = 1
                 t0 = perf_counter_ns()
-                classify_ns += t0 - t1
-            drain_ns += perf_counter_ns() - t0
-            if n_samples:
-                self._samples.add(n_samples)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    spent[phase] += perf_counter_ns() - t0
+                    depth = 0
+
+            return timed
+
+        self.cool_if_stale = lap(self.cool_if_stale, "cool")
+        self._advance_clock = lap(self._advance_clock, "cool")
+        self._reclassify = lap(self._reclassify, "classify")
+        t0 = perf_counter_ns()
+        try:
+            n_samples = self._apply_samples(chunks)
         finally:
-            self._event_buffer = None
-        if events:
-            tracer.events.extend(events)
-        prof["drain_ns"] += drain_ns
-        prof["cool_ns"] += cool_ns
-        prof["classify_ns"] += classify_ns
+            elapsed = perf_counter_ns() - t0
+            del self.cool_if_stale, self._advance_clock, self._reclassify
+        prof["drain_ns"] += elapsed - spent["cool"] - spent["classify"]
+        prof["cool_ns"] += spent["cool"]
+        prof["classify_ns"] += spent["classify"]
         prof["samples"] += n_samples
         prof["batches"] += 1
 

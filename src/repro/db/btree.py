@@ -219,11 +219,18 @@ class BTree:
                 child.kids.append(right.kids.pop(0))
             return i
 
-        # Merge with a sibling; frees exactly one page.
-        if left is not None:
+        # Merge with a sibling whose union fits one node; frees exactly one
+        # page.  With an odd order two minimum-fill nodes do not fit, so
+        # the child is left at the minimum and may drop one below it
+        # (the bound check_invariants enforces); the next refill of a
+        # child that far down always has a merge that fits.
+        cap = self.order if child.leaf else self.order - 2
+        if left is not None and len(left.keys) + len(child.keys) <= cap:
             dst, src, sep_i, child_i = left, child, i - 1, i - 1
-        else:
+        elif right is not None and len(child.keys) + len(right.keys) <= cap:
             dst, src, sep_i, child_i = child, right, i, i
+        else:
+            return i
         self._visit(dst, write=True)
         if dst.leaf:
             dst.keys.extend(src.keys)

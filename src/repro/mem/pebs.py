@@ -12,6 +12,13 @@ draws which pages the sampled instructions touched) and exposes a drain
 interface for HeMem's PEBS thread.  When the buffer fills because the drain
 thread lags, new records are *dropped* — the effect behind the high-variance
 left side of the paper's Fig 10.
+
+The buffer is columnar: one ``feed`` call's records all share an event
+kind and a region, so they are stored as one ``(kind, region, pages)``
+chunk with ``pages`` a list of page indices, never as one object per
+record.  ``drain(n)`` hands back a :class:`PebsBatch` of chunks in FIFO
+order (the last one sliced when ``n`` ends inside it); ``len(batch)`` is
+its record count.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Deque, List, NamedTuple
+from typing import Callable, Deque, List, Tuple
 
 import numpy as np
 
@@ -39,17 +46,50 @@ class PebsEventKind(Enum):
         return self is PebsEventKind.STORE
 
 
-class PebsRecord(NamedTuple):
-    """One sampled memory access (virtual address resolved to a page).
+#: ``(kind, region, pages)``: consecutive records of one kind and region
+Chunk = Tuple[PebsEventKind, Region, List[int]]
 
-    A ``NamedTuple`` rather than a dataclass: records are created by the
-    thousand per simulated second, and tuple construction is several times
-    cheaper than a frozen dataclass ``__init__``.
+
+def _take(chunks: Deque[Chunk], n: int) -> List[Chunk]:
+    """Pop the first ``n`` records off ``chunks``, splitting the last chunk
+    when ``n`` ends inside it (its tail stays at the front of ``chunks``)."""
+    out = []
+    popleft = chunks.popleft
+    while n:
+        kind, region, pages = chunk = popleft()
+        if len(pages) > n:
+            out.append((kind, region, pages[:n]))
+            chunks.appendleft((kind, region, pages[n:]))
+            break
+        out.append(chunk)
+        n -= len(pages)
+    return out
+
+
+class PebsBatch:
+    """Records drained in one call: chunks in FIFO order.
+
+    Iterating yields the ``(kind, region, pages)`` chunks; ``len`` is the
+    number of records, not of chunks.
     """
 
-    kind: PebsEventKind
-    region: Region
-    page: int
+    __slots__ = ("chunks", "n_records")
+
+    def __init__(self, chunks: List[Chunk], n_records: int):
+        self.chunks = chunks
+        self.n_records = n_records
+
+    def __len__(self) -> int:
+        return self.n_records
+
+    def __iter__(self):
+        return iter(self.chunks)
+
+    def head(self, n: int) -> "PebsBatch":
+        """The first ``n`` records (``self`` when that is all of them)."""
+        if n >= self.n_records:
+            return self
+        return PebsBatch(_take(deque(self.chunks), n), n)
 
 
 @dataclass(frozen=True)
@@ -89,7 +129,9 @@ class PebsUnit:
         self.spec = spec
         self.period_scale = period_scale
         self._rng = rng
-        self._buffer: Deque[PebsRecord] = deque()
+        self._chunks: Deque[Chunk] = deque()
+        #: records buffered across all chunks
+        self._n_buffered = 0
         self._carry = {kind: 0.0 for kind in PebsEventKind}
         # hoisted constants for the per-tick feed() fast path
         self._period = spec.sample_period * period_scale
@@ -100,7 +142,7 @@ class PebsUnit:
         self.tracer = None
 
     def __len__(self) -> int:
-        return len(self._buffer)
+        return self._n_buffered
 
     def set_capacity_factor(self, factor: float) -> None:
         """Fault-injection hook: shrink/restore the effective ring buffer.
@@ -134,14 +176,16 @@ class PebsUnit:
     def feed(
         self,
         kind: PebsEventKind,
+        region: Region,
         n_events: float,
-        sampler: Callable[[int], List[PebsRecord]],
+        sampler: Callable[[int], List[int]],
     ) -> int:
         """Account ``n_events`` occurrences; emit every period-th as a record.
 
-        ``sampler(n)`` must return ``n`` records drawn from the access
-        distribution that generated the events.  Returns the number of
-        records actually buffered (excludes drops).
+        ``sampler(n)`` must return the page indices (in ``region``) of up
+        to ``n`` records drawn from the access distribution that generated
+        the events.  Returns the number of records actually buffered
+        (excludes drops).
         """
         if n_events < 0:
             raise ValueError(f"negative event count: {n_events}")
@@ -154,7 +198,7 @@ class PebsUnit:
         self._carry[kind] = carry - n_samples * period
         # Records beyond the buffer's free space are dropped by the
         # hardware; don't bother materialising them.
-        room = self._capacity - len(self._buffer)
+        room = self._capacity - self._n_buffered
         n_emit = min(n_samples, max(room, 0))
         if n_emit < n_samples:
             self._dropped.add(n_samples - n_emit)
@@ -163,18 +207,26 @@ class PebsUnit:
                 tracer.emit(PebsDrop(tracer.now, kind.value, n_samples - n_emit))
         if n_emit == 0:
             return 0
-        records = sampler(n_emit)
-        self._buffer.extend(records)
-        self._sampled.add(len(records))
-        return len(records)
+        pages = sampler(n_emit)
+        n = len(pages)
+        if n:
+            self._chunks.append((kind, region, pages))
+            self._n_buffered += n
+        self._sampled.add(n)
+        return n
 
-    def drain(self, max_records: int) -> List[PebsRecord]:
+    def drain(self, max_records: int) -> PebsBatch:
         """Pop up to ``max_records`` records in FIFO order."""
         if max_records < 0:
             raise ValueError(f"negative drain budget: {max_records}")
-        buffer = self._buffer
-        popleft = buffer.popleft
-        return [popleft() for _ in range(min(max_records, len(buffer)))]
+        chunks = self._chunks
+        if max_records >= self._n_buffered:
+            batch = PebsBatch(list(chunks), self._n_buffered)
+            chunks.clear()
+            self._n_buffered = 0
+            return batch
+        self._n_buffered -= max_records
+        return PebsBatch(_take(chunks, max_records), max_records)
 
     def drain_cost(self, n_records: int) -> float:
         """Core-seconds the PEBS thread pays to process ``n_records``."""

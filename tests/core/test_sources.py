@@ -74,6 +74,59 @@ class TestPebsSource:
         assert len(machine.pebs) == 0
 
 
+def fed_engine(ops=2e7, writes_per_op=0.5):
+    """An idle HeMem engine whose PEBS unit holds one observe() worth of
+    records from a 1 GB managed region, half of it in NVM."""
+    from repro.mem.access import AccessStream, StreamResult, TierSplit
+
+    manager = HeMemManager()
+    machine = Machine(MachineSpec().scaled(SCALE), seed=3)
+    engine = Engine(machine, manager, IdleWorkload(), EngineConfig(seed=3))
+    region = manager.mmap(1 * GB, name="big")
+    region.tier[region.n_pages // 2:] = Tier.NVM
+    stream = AccessStream(name="s", region=region, threads=1,
+                          reads_per_op=1.0, writes_per_op=writes_per_op)
+    manager.observe(stream, TierSplit(0.5, 0.5), StreamResult(ops=ops), 0.0, 0.01)
+    return engine, region
+
+
+class TestPebsBatches:
+    def test_feed_buffers_one_page_chunk_per_kind(self):
+        from repro.mem.pebs import PebsEventKind
+
+        engine, region = fed_engine()
+        pebs = engine.machine.pebs
+        n = len(pebs)
+        assert n == pebs.records_sampled > 0
+        batch = pebs.drain(n)
+        assert len(batch) == n and len(pebs) == 0
+        assert [kind for kind, _, _ in batch] == [
+            PebsEventKind.DRAM_READ, PebsEventKind.NVM_READ, PebsEventKind.STORE
+        ]
+        half = region.n_pages // 2
+        for kind, chunk_region, pages in batch:
+            assert chunk_region is region
+            assert all(type(page) is int for page in pages)
+            # loads are conditioned on the tier that served them
+            if kind is PebsEventKind.DRAM_READ:
+                assert max(pages) < half
+            elif kind is PebsEventKind.NVM_READ:
+                assert min(pages) >= half
+
+    def test_drain_service_applies_the_capped_head(self):
+        from repro.core.sources import _PebsDrainService
+
+        engine, region = fed_engine(ops=1e9)
+        pebs = engine.machine.pebs
+        drained = len(pebs)
+        cap = _PebsDrainService.APPLY_CAP_PER_TICK
+        assert drained > cap
+        service = next(s for s in engine.services if s.name == "pebs_drain")
+        service.run(engine, 0.0, 1.0)  # budget covers the whole buffer
+        assert len(pebs) == 0
+        assert engine.stats.counter("hemem.tracker.samples").value == cap
+
+
 class TestPtScanSource:
     def test_scans_complete_and_feed_tracker(self):
         engine = gups_engine(hemem_pt_async(), working_set=2 * GB)

@@ -338,47 +338,65 @@ class TestMigrationInteraction:
         assert tracker.list_for(Tier.DRAM, hot=True).front == b
 
 
+def mixed_chunks(region, other=None):
+    """200 records as chunks of 1-9 records, mixed kinds (and regions)."""
+    from repro.mem.pebs import PebsEventKind
+
+    chunks, i = [], 0
+    while i < 200:
+        size = 1 + (i * 5) % 9
+        kind = PebsEventKind.STORE if (i * 7) % 3 == 0 else PebsEventKind.DRAM_READ
+        reg = other if other is not None and (i // 9) % 2 else region
+        pages = [((i + j) * 13) % 8 for j in range(min(size, 200 - i))]
+        chunks.append((kind, reg, pages))
+        i += len(pages)
+    return chunks
+
+
 class TestBatchedSamples:
     """record_samples must be op-for-op identical to per-record applies."""
 
     def test_matches_per_record_application(self, tracker, region, stats):
-        from repro.mem.pebs import PebsEventKind, PebsRecord
+        from repro.mem.pebs import PebsEventKind
 
-        records = [
-            PebsRecord(
-                PebsEventKind.STORE if (i * 7) % 3 == 0 else PebsEventKind.DRAM_READ,
-                region,
-                (i * 13) % 8,
-            )
-            for i in range(200)
-        ]
+        other_region = Region(0x9000000, 8 * HUGE_PAGE)
+        chunks = mixed_chunks(region, other_region)
         other = HotColdTracker(HeMemConfig(), stats.scoped("other"))
-        tracker.record_samples(records)
-        for rec in records:
-            other.record_sample(rec.region, rec.page, rec.kind is PebsEventKind.STORE)
+        tracker.record_samples(chunks)
+        for kind, reg, pages in chunks:
+            for page in pages:
+                other.record_sample(reg, page, kind is PebsEventKind.STORE)
         assert tracker.global_clock == other.global_clock
+        for reg in (region, other_region):
+            for page in range(8):
+                a = tracker.node(reg, page)
+                b = other.node(reg, page)
+                assert (a.reads, a.writes, a.clock, a.owner.name) == (
+                    b.reads, b.writes, b.clock, b.owner.name
+                )
+
+    def test_accepts_a_drained_batch(self, tracker, region, stats):
+        from repro.mem.pebs import PebsEventKind, PebsSpec, PebsUnit
+        from repro.sim.rng import make_rng
+
+        unit = PebsUnit(PebsSpec(sample_period=1), stats, make_rng(1, "t"))
+        for kind, reg, pages in mixed_chunks(region):
+            unit.feed(kind, reg, len(pages), lambda n, pages=pages: pages)
+        other = HotColdTracker(HeMemConfig(), stats.scoped("other"))
+        other.record_samples(mixed_chunks(region))
+        tracker.record_samples(unit.drain(150))
+        tracker.record_samples(unit.drain(150))
+        assert tracker.global_clock == other.global_clock
+        assert stats.counter("tracker.samples").value == 200
         for page in range(8):
-            a = tracker.node(region, page)
-            b = other.node(region, page)
+            a, b = tracker.node(region, page), other.node(region, page)
             assert (a.reads, a.writes, a.clock, a.owner.name) == (
                 b.reads, b.writes, b.clock, b.owner.name
             )
 
 
 class TestProfiledBatch:
-    """The REPRO_PROFILE fallback loop is op-for-op identical to the fast one."""
-
-    def _records(self, region):
-        from repro.mem.pebs import PebsEventKind, PebsRecord
-
-        return [
-            PebsRecord(
-                PebsEventKind.STORE if (i * 7) % 3 == 0 else PebsEventKind.DRAM_READ,
-                region,
-                (i * 13) % 8,
-            )
-            for i in range(200)
-        ]
+    """REPRO_PROFILE times the shipped loop without changing what it does."""
 
     def test_profiled_state_identical_and_attributed(self, region, stats):
         fast = HotColdTracker(HeMemConfig(), stats.scoped("fast"))
@@ -386,9 +404,9 @@ class TestProfiledBatch:
         # Force the profiled path without touching the environment.
         prof.profile = {"drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
                         "samples": 0, "batches": 0}
-        records = self._records(region)
-        fast.record_samples(records)
-        prof.record_samples(records)
+        chunks = mixed_chunks(region)
+        fast.record_samples(chunks)
+        prof.record_samples(chunks)
         assert prof.global_clock == fast.global_clock
         for page in range(8):
             a = fast.node(region, page)
@@ -396,11 +414,37 @@ class TestProfiledBatch:
             assert (a.reads, a.writes, a.clock, a.owner.name) == (
                 b.reads, b.writes, b.clock, b.owner.name
             )
-        assert prof.profile["samples"] == len(records)
+        assert prof.profile["samples"] == sum(len(p) for _, _, p in chunks)
         assert prof.profile["batches"] == 1
         assert prof.profile["drain_ns"] > 0
         assert prof.profile["cool_ns"] > 0
         assert prof.profile["classify_ns"] > 0
+        # the lap wrappers live on the instance for the batch only
+        assert not {"cool_if_stale", "_advance_clock", "_reclassify"} & set(
+            vars(prof))
+
+    def test_nested_reclassify_charged_to_cooling_only(self, region, stats):
+        from repro.mem.pebs import PebsEventKind
+
+        prof = HotColdTracker(HeMemConfig(), stats)
+        prof.profile = {"drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
+                        "samples": 0, "batches": 0}
+        node = prof.track_page(region, 0)
+        node.reads = 20
+        prof.global_clock += 1  # page 0 is stale: the batch cools it
+        calls = []
+        reclassify = prof._reclassify
+
+        def spy(pid, cooled=False):
+            calls.append(cooled)
+            reclassify(pid, cooled)
+
+        prof._reclassify = spy
+        prof.record_samples([(PebsEventKind.DRAM_READ, region, [0])])
+        # cool_if_stale's own _reclassify ran inside the cool lap; the
+        # per-record one (the page is hot) ran in the classify lap.
+        assert calls == [True, False]
+        assert prof.profile["cool_ns"] > 0 and prof.profile["classify_ns"] > 0
 
     def test_profile_enabled_by_env_flag(self, stats, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")

@@ -76,6 +76,31 @@ def test_drain_returns_all_pages_to_one_node(keys):
     assert tree.search(keys[0]) is None
 
 
+def test_odd_order_refill_does_not_overflow_a_leaf():
+    # Two minimum-fill leaves of an order-5 tree hold 3 + 3 keys: merging
+    # them on the way down to delete a key would overflow the leaf.
+    tree = make_tree(5)
+    for key in (2, 3, 4, 5, 6, 0):
+        tree.insert(key, key)
+    assert not tree.delete(1)
+    tree.check_invariants()
+    assert list(tree.scan(-1, 10)) == [(k, k) for k in (0, 2, 3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("order", [5, 7, 9])
+def test_odd_order_invariants_hold_after_every_delete(order):
+    tree = make_tree(order)
+    keys = list(range(300))
+    for key in keys:
+        tree.insert(key, key)
+    # strided delete order: hits leaves and interiors at every fill level
+    for key in keys[::7] + keys[3::7] + keys[1::7] + keys[5::7] + keys:
+        tree.delete(key)
+        tree.check_invariants()
+    assert len(tree) == 0
+    assert tree.allocator.live == 1
+
+
 def test_upsert_overwrites_without_growing():
     tree = make_tree(8)
     for i in range(100):

@@ -1,7 +1,7 @@
 """Differential test: columnar tracker vs the legacy object-graph tracker.
 
-``repro.core.legacy_tracking`` keeps the original ``PageNode``/``PageList``
-implementation in-tree purely as an oracle.  Under any random sequence of
+``tests.oracles.legacy_tracking`` keeps the original ``PageNode``/``PageList``
+implementation purely as an oracle.  Under any random sequence of
 accesses, cooling-clock bumps, tier migrations, and untracks, the
 array-backed tracker must produce identical hot/cold membership, FIFO
 order, counter values, and cooling state.
@@ -11,11 +11,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.config import HeMemConfig
-from repro.core.legacy_tracking import HotColdTracker as LegacyTracker
 from repro.core.tracking import HotColdTracker
 from repro.mem.page import HUGE_PAGE, Tier
+from repro.mem.pebs import PebsEventKind
 from repro.mem.region import Region
 from repro.sim.stats import StatsRegistry
+
+from tests.oracles.legacy_tracking import HotColdTracker as LegacyTracker
 
 N_PAGES = 24
 
@@ -112,26 +114,34 @@ def test_columnar_tracker_matches_legacy(ops):
     assert len(new) == len(old)
 
 
-@given(op_strategy)
-@settings(max_examples=50, deadline=None)
-def test_batched_apply_matches_legacy(ops):
-    """The batched record_samples path against the legacy oracle."""
-    from repro.mem.pebs import PebsEventKind, PebsRecord
+def chunked(samples, cuts, region):
+    """Split ``(page, is_store)`` samples into PEBS chunks: a new chunk
+    starts at every drawn cut and wherever the event kind changes."""
+    chunks = []
+    for i, (page, is_store) in enumerate(samples):
+        kind = PebsEventKind.STORE if is_store else PebsEventKind.DRAM_READ
+        if not chunks or i in cuts or chunks[-1][0] is not kind:
+            chunks.append((kind, region, []))
+        chunks[-1][2].append(page)
+    return chunks
 
+
+@given(op_strategy, st.sets(st.integers(min_value=0, max_value=400)),
+       st.sets(st.integers(min_value=0, max_value=400)))
+@settings(max_examples=50, deadline=None)
+def test_batched_apply_matches_legacy(ops, cuts, batch_ends):
+    """The batched record_samples path against the legacy oracle, over
+    arbitrary chunk boundaries and batch (drain) boundaries."""
     samples = [(page, flag) for kind, page, flag in ops if kind == "sample"]
     stats = StatsRegistry()
     region_new = Region(0x1000000, N_PAGES * HUGE_PAGE)
     region_old = Region(0x1000000, N_PAGES * HUGE_PAGE)
     new = HotColdTracker(HeMemConfig(), stats.scoped("new"))
     old = LegacyTracker(HeMemConfig(), stats.scoped("old"))
-    records = [
-        PebsRecord(
-            PebsEventKind.STORE if is_store else PebsEventKind.DRAM_READ,
-            region_new, page,
-        )
-        for page, is_store in samples
-    ]
-    new.record_samples(records)
+    bounds = sorted({0, len(samples)} | {b for b in batch_ends if b < len(samples)})
+    for lo, hi in zip(bounds, bounds[1:]):
+        new.record_samples(chunked(samples[lo:hi], cuts, region_new))
     for page, is_store in samples:
         old.record_sample(region_old, page, is_store)
     assert snapshot(new, region_new) == snapshot(old, region_old)
+    assert stats.counter("new.tracker.samples").value == len(samples)

@@ -1,5 +1,5 @@
 """Differential test: the pluggable ``policy="hemem"`` path vs the frozen
-pre-refactor policy thread (``repro.core.legacy_policy``).
+pre-refactor policy thread (``tests.oracles.legacy_policy``).
 
 Same oracle pattern as ``test_pagestore_differential.py``: two complete
 simulations — one through :class:`LegacyPolicyService` (the policy loop
@@ -13,11 +13,12 @@ import numpy as np
 import pytest
 
 from repro.core.hemem import HeMemManager
-from repro.core.legacy_policy import LegacyPolicyService
 from repro.mem.machine import Machine, MachineSpec
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
+
+from tests.oracles.legacy_policy import LegacyPolicyService
 
 SCALE = 64
 
