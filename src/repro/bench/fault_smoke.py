@@ -12,6 +12,8 @@ configuration under HeMem with a representative fault window, then asserts
   every used page is accounted for by a mapped page or an in-flight
   migration reservation — i.e. no leak and no double-free survived the
   fault,
+- the tracker's page lists obey their structural laws
+  (:meth:`~repro.core.tracking.HotColdTracker.violations`),
 - the run still made forward progress (non-zero GUPS).
 
 Run as ``python -m repro.bench.fault_smoke [--out DIR]``; with ``--out``
@@ -131,6 +133,11 @@ def run_colo_smoke_case(plan: str, duration: float = 6.0,
     if counters.get("b.migration_retries", 0.0) != 0:
         bad.append("untargeted tenant 'b' was hit by a tenant-scoped fault")
     bad.extend(colo_occupancy_violations(colo, machine))
+    for tenant in colo.all_tenants():
+        tracker = getattr(tenant.manager, "tracker", None)
+        if tracker is not None:
+            bad.extend(f"tenant {tenant.name}: {problem}"
+                       for problem in tracker.violations())
 
     report = {
         "kind": "colo",
@@ -171,6 +178,7 @@ def check_case(kind: str, plan: str, counters: dict, gups: float,
         if counters.get("hemem.shadows_created", 0.0) < 1:
             bad.append("nomad policy retained no shadows")
     bad.extend(occupancy_violations(manager, machine))
+    bad.extend(manager.tracker.violations())
     return bad
 
 

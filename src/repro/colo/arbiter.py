@@ -109,9 +109,9 @@ class DramArbiter(Service):
         limit = min(over, self.max_evictions_per_pass)
         while count < limit and migrator.queued_bytes < queue_limit:
             victim = pick_demotion_victim(dram_cold, tracker)
-            if victim is None:
-                victim = dram_hot.front
-            if victim is None:
+            if victim < 0:
+                victim = dram_hot.front_pid
+            if victim < 0:
                 break
             if not migrator.migrate(victim, Tier.NVM, now,
                                     reason="arbiter-evict"):

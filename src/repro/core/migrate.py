@@ -168,10 +168,9 @@ class Migrator:
     def can_reserve(self, dst: Tier) -> bool:
         return self.dax[dst].free_pages > 0
 
-    def migrate(self, node, dst: Tier, now: float,
+    def migrate(self, pid: int, dst: Tier, now: float,
                 reason: str = "", retain_shadow: bool = False) -> bool:
-        """Begin migrating a page (pid or PageRef) to ``dst``; False if no
-        space there.
+        """Begin migrating page ``pid`` to ``dst``; False if no space there.
 
         ``reason`` labels the submitting policy's decision in the trace
         (``promote-hot``, ``demote-watermark``, ``arbiter-evict``, ...); it
@@ -182,13 +181,12 @@ class Migrator:
         freeing it — Nomad's non-exclusive tiering.
         """
         store = self.tracker.store
-        pid = node if type(node) is int else node.pid
         region = store.region_ref[pid]
         page = store.page_no[pid]
         if store.flags[pid] & UNDER_MIGRATION:
             return False
         if Tier(region.tier[page]) == dst:
-            raise ValueError(f"{self.tracker.ref(pid)!r} is already in {dst.name}")
+            raise ValueError(f"{store.describe(pid)} is already in {dst.name}")
         if region.pinned_tier is not None:
             raise ValueError(f"{region.name} is pinned to {region.pinned_tier.name}")
         if dst == Tier.NVM and store.shadow[pid] >= 0:
@@ -284,7 +282,7 @@ class Migrator:
                 ))
 
     # -- non-exclusive tiering (shadow copies) -----------------------------------
-    def remap_demote(self, node, now: float,
+    def remap_demote(self, pid: int, now: float,
                      reason: str = "demote-nocopy") -> bool:
         """Demote a clean shadow-holding DRAM page by remapping alone.
 
@@ -295,18 +293,17 @@ class Migrator:
         bytes, so it raises; a page with no shadow raises too.
         """
         store = self.tracker.store
-        pid = node if type(node) is int else node.pid
         if store.flags[pid] & UNDER_MIGRATION:
             return False
         if store.flags[pid] & DIRTY:
             raise ValueError(
-                f"{self.tracker.ref(pid)!r} is dirty: its shadow is stale "
+                f"{store.describe(pid)} is dirty: its shadow is stale "
                 "and cannot be remapped onto"
             )
         region = store.region_ref[pid]
         page = store.page_no[pid]
         if Tier(region.tier[page]) != Tier.DRAM:
-            raise ValueError(f"{self.tracker.ref(pid)!r} is not in DRAM")
+            raise ValueError(f"{store.describe(pid)} is not in DRAM")
         if region.pinned_tier is not None:
             raise ValueError(f"{region.name} is pinned to {region.pinned_tier.name}")
         offsets = self._offsets.get(region.region_id)
@@ -335,13 +332,12 @@ class Migrator:
             ))
         return True
 
-    def drop_shadow(self, node, now: float, reason: str = "") -> int:
+    def drop_shadow(self, pid: int, now: float, reason: str = "") -> int:
         """Release a page's shadow copy back to the NVM DAX pool.
 
         Returns the freed offset.  Raises if the page holds no shadow.
         """
         store = self.tracker.store
-        pid = node if type(node) is int else node.pid
         region = store.region_ref[pid]
         offset = store.clear_shadow(pid)
         self.dax[Tier.NVM].free_page(int(offset))

@@ -34,14 +34,17 @@ wholesale behind the tracker's back (the fig8 oracle placement) must call
 **FIFO semantics** are identical to the original ``PageList``: O(1)
 push/pop/remove, byte accounting, double-insert and foreign-remove raise
 ``ValueError``, and iteration tolerates removal of the yielded element.
+
+**One page identity.**  The pid is the only page handle, in the hot loops
+and at every API boundary alike: lists yield pids, ``-1`` means "no page",
+and callers read a page's state by indexing the columns.  There is no
+per-page view object.
 """
 
 from __future__ import annotations
 
 from array import array
 from typing import Dict, Iterator, List, Optional
-
-from repro.mem.page import Tier
 
 #: ``list_id`` sentinel for "on no list".
 NO_LIST = 255
@@ -86,7 +89,6 @@ class PageStore:
         self.region_ref: List = []
         # pid block allocation
         self._base: Dict[int, int] = {}  # region_id -> block base
-        self._block_region: Dict[int, object] = {}  # region_id -> region
         self._free_blocks: Dict[int, List[int]] = {}  # n_pages -> [base, ...]
         # per-list state, indexed by list id
         self.fifos: List["PageFifo"] = []
@@ -96,11 +98,11 @@ class PageStore:
         self._nbytes: List[int] = []
 
     # -- lists ---------------------------------------------------------------
-    def new_list(self, name: str, hot: bool = False) -> "PageFifo":
+    def new_list(self, name: str) -> "PageFifo":
         lid = len(self.fifos)
         if lid >= NO_LIST:
             raise ValueError("page store supports at most 254 lists")
-        fifo = PageFifo(self, lid, name, hot)
+        fifo = PageFifo(self, lid, name)
         self.fifos.append(fifo)
         self._head.append(-1)
         self._tail.append(-1)
@@ -137,7 +139,6 @@ class PageStore:
             base = self.capacity
             self._grow(n)
         self._base[region.region_id] = base
-        self._block_region[region.region_id] = region
         page_size = region.page_size
         for pid in range(base, base + n):
             self.region_ref[pid] = region
@@ -157,7 +158,6 @@ class PageStore:
         base = self._base.pop(region.region_id, None)
         if base is None:
             return
-        self._block_region.pop(region.region_id, None)
         n = region.n_pages
         end = base + n
         self.reads[base:end] = array("I", bytes(4 * n))
@@ -177,6 +177,15 @@ class PageStore:
         self.shadow[base:end] = array("q", b"\xff" * (8 * n))
         self.region_ref[base:end] = [None] * n
         self._free_blocks.setdefault(n, []).append(base)
+
+    def describe(self, pid: int) -> str:
+        """``region[page]`` plus the page's counters, for error messages."""
+        region = self.region_ref[pid]
+        return (
+            f"{region.name if region else '?'}[{self.page_no[pid]}] "
+            f"(pid {pid}, r={self.reads[pid]}, w={self.writes[pid]}, "
+            f"clk={self.clock[pid]}, flags={self.flags[pid]:#x})"
+        )
 
     # -- shadow copies ---------------------------------------------------------
     def set_shadow(self, pid: int, offset: int) -> None:
@@ -269,15 +278,17 @@ class PageStore:
 
 
 class PageFifo:
-    """FIFO view over one list id (the API face of the linked columns)."""
+    """FIFO view over one list id (the API face of the linked columns).
 
-    __slots__ = ("store", "lid", "name", "hot")
+    Pages go in and come out as pids; ``-1`` means "no page".
+    """
 
-    def __init__(self, store: PageStore, lid: int, name: str, hot: bool):
+    __slots__ = ("store", "lid", "name")
+
+    def __init__(self, store: PageStore, lid: int, name: str):
         self.store = store
         self.lid = lid
         self.name = name
-        self.hot = hot
 
     def __len__(self) -> int:
         return self.store._count[self.lid]
@@ -291,15 +302,8 @@ class PageFifo:
 
     @property
     def front_pid(self) -> int:
-        """Pid at the front, or -1 when empty (hot-path accessor)."""
+        """Pid at the front, or -1 when empty."""
         return self.store._head[self.lid]
-
-    @property
-    def front(self) -> Optional["PageRef"]:
-        head = self.store._head[self.lid]
-        if head < 0:
-            return None
-        return PageRef(self.store, head)
 
     def __iter__(self) -> Iterator[int]:
         """Yield pids front to back; the yielded pid may be removed."""
@@ -311,20 +315,13 @@ class PageFifo:
             yield pid
             pid = following
 
-    def refs(self) -> Iterator["PageRef"]:
-        """Like ``iter`` but yielding :class:`PageRef` views (cold paths)."""
-        store = self.store
-        for pid in self:
-            yield PageRef(store, pid)
+    def push_back(self, pid: int) -> None:
+        self.store.push_back(self.lid, pid)
 
-    def push_back(self, pid) -> None:
-        self.store.push_back(self.lid, pid if type(pid) is int else pid.pid)
+    def push_front(self, pid: int) -> None:
+        self.store.push_front(self.lid, pid)
 
-    def push_front(self, pid) -> None:
-        self.store.push_front(self.lid, pid if type(pid) is int else pid.pid)
-
-    def remove(self, pid) -> None:
-        pid = pid if type(pid) is int else pid.pid
+    def remove(self, pid: int) -> None:
         if self.store.list_id[pid] != self.lid:
             raise ValueError(f"pid {pid} is not on list {self.name}")
         self.store.unlink(self.lid, pid)
@@ -338,117 +335,3 @@ class PageFifo:
 
     def __repr__(self) -> str:
         return f"PageFifo({self.name}, n={len(self)})"
-
-
-class PageRef:
-    """A lightweight (store, pid) view with ``PageNode``-shaped accessors.
-
-    Exists only at API boundaries (tests, examples, introspection); hot
-    paths pass raw pids and index the columns directly.
-    """
-
-    __slots__ = ("store", "pid")
-
-    def __init__(self, store: PageStore, pid: int):
-        self.store = store
-        self.pid = pid
-
-    @property
-    def region(self):
-        return self.store.region_ref[self.pid]
-
-    @property
-    def page(self) -> int:
-        return self.store.page_no[self.pid]
-
-    @property
-    def reads(self) -> int:
-        return self.store.reads[self.pid]
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self.store.reads[self.pid] = value
-
-    @property
-    def writes(self) -> int:
-        return self.store.writes[self.pid]
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self.store.writes[self.pid] = value
-
-    @property
-    def clock(self) -> int:
-        return self.store.clock[self.pid]
-
-    @clock.setter
-    def clock(self, value: int) -> None:
-        self.store.clock[self.pid] = value
-
-    @property
-    def write_heavy(self) -> bool:
-        return bool(self.store.flags[self.pid] & WRITE_HEAVY)
-
-    @write_heavy.setter
-    def write_heavy(self, value: bool) -> None:
-        if value:
-            self.store.flags[self.pid] |= WRITE_HEAVY
-        else:
-            self.store.flags[self.pid] &= ~WRITE_HEAVY & 0xFF
-
-    @property
-    def under_migration(self) -> bool:
-        return bool(self.store.flags[self.pid] & UNDER_MIGRATION)
-
-    @under_migration.setter
-    def under_migration(self, value: bool) -> None:
-        if value:
-            self.store.flags[self.pid] |= UNDER_MIGRATION
-        else:
-            self.store.flags[self.pid] &= ~UNDER_MIGRATION & 0xFF
-
-    @property
-    def shadow(self) -> int:
-        """NVM DAX offset of the page's shadow copy, or -1."""
-        return self.store.shadow[self.pid]
-
-    @property
-    def dirty(self) -> bool:
-        """True when a sampled store invalidated the shadow's bytes."""
-        return bool(self.store.flags[self.pid] & DIRTY)
-
-    @property
-    def owner(self) -> Optional[PageFifo]:
-        lid = self.store.list_id[self.pid]
-        return None if lid == NO_LIST else self.store.fifos[lid]
-
-    @property
-    def tier(self) -> Tier:
-        # Live read of the region's tier array (like the old PageNode
-        # property); the store's tier column is the hot-path mirror.
-        s = self.store
-        return Tier(s.region_ref[self.pid].tier[s.page_no[self.pid]])
-
-    @property
-    def nbytes(self) -> int:
-        return self.store.psize[self.pid]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PageRef)
-            and other.store is self.store
-            and other.pid == self.pid
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.store), self.pid))
-
-    def __repr__(self) -> str:
-        s = self.store
-        p = self.pid
-        region = s.region_ref[p]
-        return (
-            f"PageRef({region.name if region else '?'}[{s.page_no[p]}], "
-            f"r={s.reads[p]}, w={s.writes[p]}, clk={s.clock[p]}, "
-            f"wh={bool(s.flags[p] & WRITE_HEAVY)})"
-        )

@@ -33,17 +33,16 @@ or any ``manager -> policy`` callable (see ``examples/custom_policy.py``).
 from __future__ import annotations
 
 import math
-from collections import deque
-from typing import Dict, List, Optional, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 from repro.core.pagestore import DIRTY
 from repro.mem.page import Tier
 
 
-def pick_demotion_victim(dram_cold, tracker):
+def pick_demotion_victim(dram_cold, tracker) -> int:
     """Front of the DRAM cold list, skipping freshly-hot entries.
 
-    Returns a pid (or None).  Shared between the per-manager policy thread
+    Returns a pid, or -1 when the list runs dry.  Shared between the per-manager policy thread
     and the colocation arbiter's cross-tenant eviction path (repro.colo),
     so both demote by the same victim-selection rule.
     """
@@ -55,7 +54,7 @@ def pick_demotion_victim(dram_cold, tracker):
         if list_id[pid] == lid:
             return pid
         # cool_if_stale re-homed it (it had become hot); try the next.
-    return None
+    return -1
 
 
 class PlacementPolicy:
@@ -152,7 +151,7 @@ class HeMemPolicy(PlacementPolicy):
                 promoted += 1
                 continue
             victim = pick_demotion_victim(dram_cold, tracker)
-            if victim is None:
+            if victim < 0:
                 # Hot set exceeds DRAM: stop migrating (§3.3).
                 break
             if not self._swap_room(now, dram_dax, nvm_dax, victim):
@@ -181,14 +180,13 @@ class HeMemPolicy(PlacementPolicy):
         ):
             victim = pick_demotion_victim(dram_cold, tracker)
             reason = "demote-watermark"
-            if victim is None:
+            if victim < 0:
                 # No cold data: demote the oldest resident hot page
                 # ("migrates random data to NVM until the threshold amount
                 # of DRAM is free").
-                front = dram_hot.front_pid
-                victim = front if front >= 0 else None
+                victim = dram_hot.front_pid
                 reason = "demote-watermark-hot"
-            if victim is None:
+            if victim < 0:
                 break
             if not self._submit_demotion(victim, now, reason):
                 break
@@ -446,7 +444,7 @@ class LearnedPolicy(HeMemPolicy):
                 promoted += 1
                 continue
             victim = self._pick_victim(dram_cold)
-            if victim is None:
+            if victim < 0:
                 break
             if self._score(victim) >= score:
                 break  # nothing in DRAM is predicted colder than this page
@@ -460,8 +458,8 @@ class LearnedPolicy(HeMemPolicy):
             promoted += 1
         return promoted, demoted
 
-    def _pick_victim(self, fifo) -> Optional[int]:
-        """Lowest-scoring pid in a bounded front scan of ``fifo``."""
+    def _pick_victim(self, fifo) -> int:
+        """Lowest-scoring pid in a bounded front scan of ``fifo``, or -1."""
         tracker = self.manager.tracker
         best_pid = -1
         best_score = math.inf
@@ -477,7 +475,7 @@ class LearnedPolicy(HeMemPolicy):
             seen += 1
             if seen >= self.MAX_VICTIM_SCAN:
                 break
-        return best_pid if best_pid >= 0 else None
+        return best_pid
 
     def _enforce_watermark(self, now: float) -> int:
         manager = self.manager
@@ -494,10 +492,10 @@ class LearnedPolicy(HeMemPolicy):
         ):
             victim = self._pick_victim(dram_cold)
             reason = "demote-watermark"
-            if victim is None:
+            if victim < 0:
                 victim = self._pick_victim(dram_hot)
                 reason = "demote-watermark-hot"
-            if victim is None:
+            if victim < 0:
                 break
             if not self._submit_demotion(victim, now, reason):
                 break

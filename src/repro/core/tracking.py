@@ -15,16 +15,17 @@ cold pages (§3).  The PEBS thread classifies pages:
 
 Per-page state lives in the flat columns of
 :class:`~repro.core.pagestore.PageStore`; every page is a dense integer id
-(pid) and the hot paths — ``record_sample``, the batched ``record_samples``
-the PEBS drain thread calls, cooling, reclassification — index arrays
-instead of chasing per-page objects.  ``PageRef``/``PageFifo`` views exist
-for tests and introspection; see :mod:`repro.core.pagestore`.
+(pid), and the pid is the only page handle the tracker takes or returns.
+Sampled accesses enter through one path, the batched
+:meth:`HotColdTracker.record_samples` the PEBS drain thread calls (a single
+record is a one-record batch); page-table scans use
+:meth:`HotColdTracker.record_scan_hit`.
 """
 
 from __future__ import annotations
 
 from time import perf_counter_ns
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.core.config import HeMemConfig
 from repro.core.pagestore import (
@@ -35,7 +36,6 @@ from repro.core.pagestore import (
     UNDER_MIGRATION,
     WRITE_HEAVY,
     PageFifo,
-    PageRef,
     PageStore,
 )
 from repro.mem.page import Tier
@@ -50,9 +50,9 @@ _STORE_KIND = PebsEventKind.STORE
 class HotColdTracker:
     """The PEBS-thread-side data classification state (§3.1).
 
-    Pages are identified by pid (see :mod:`repro.core.pagestore`); the
-    object-shaped accessors (``node``, ``PageFifo.front``) are for tests
-    and cold paths only.
+    Pages are identified by pid (see :mod:`repro.core.pagestore`); read a
+    page's state through ``store`` columns, e.g.
+    ``tracker.store.reads[tracker.pid_of(region, page)]``.
     """
 
     def __init__(self, config: HeMemConfig, stats, tracer=None):
@@ -64,14 +64,9 @@ class HotColdTracker:
         for tier in (Tier.DRAM, Tier.NVM):
             for hot in (False, True):
                 self.store.new_list(
-                    f"{tier.name.lower()}_{'hot' if hot else 'cold'}", hot=hot
+                    f"{tier.name.lower()}_{'hot' if hot else 'cold'}"
                 )
         self._fifos = self.store.fifos
-        self.lists: Dict[Tuple[Tier, bool], PageFifo] = {
-            (tier, hot): self._fifos[(int(tier) << 1) | int(hot)]
-            for tier in (Tier.DRAM, Tier.NVM)
-            for hot in (True, False)
-        }
         self._n_tracked = 0
         self._hot_reads = config.hot_read_threshold
         self._hot_writes = config.hot_write_threshold
@@ -131,32 +126,16 @@ class HotColdTracker:
             return -1
         return pid
 
-    def node(self, region: Region, page: int) -> Optional[PageRef]:
-        pid = self.pid_of(region, page)
-        return None if pid < 0 else PageRef(self.store, pid)
-
-    def ref(self, pid: int) -> PageRef:
-        return PageRef(self.store, pid)
-
-    def iter_refs(self):
-        """Yield a :class:`PageRef` for every tracked page (introspection)."""
-        store = self.store
-        flags = store.flags
-        for pid in range(store.capacity):
-            if flags[pid] & TRACKED:
-                yield PageRef(store, pid)
-
-    def track_page(self, region: Region, page: int) -> PageRef:
-        """Start tracking a page (it enters its tier's cold list).
+    def track_page(self, region: Region, page: int) -> int:
+        """Start tracking a page (it enters its tier's cold list); its pid.
 
         Idempotent for already-tracked pages.
         """
         store = self.store
-        base = store.bind_region(region)
-        pid = base + page
+        pid = store.bind_region(region) + page
         if not store.flags[pid] & TRACKED:
             self._track_pid(pid, region, page)
-        return PageRef(store, pid)
+        return pid
 
     def _track_pid(self, pid: int, region: Region, page: int) -> None:
         store = self.store
@@ -213,19 +192,11 @@ class HotColdTracker:
         return self._n_tracked
 
     # -- classification ------------------------------------------------------------
-    def _pid_arg(self, node) -> int:
-        """Accept a pid or a PageRef at the public API boundary."""
-        return node if type(node) is int else node.pid
-
-    def is_hot(self, node) -> bool:
-        pid = self._pid_arg(node)
+    def is_hot(self, pid: int) -> bool:
         return (
             self.store.reads[pid] >= self._hot_reads
             or self.store.writes[pid] >= self._hot_writes
         )
-
-    def is_write_heavy(self, node) -> bool:
-        return self.store.writes[self._pid_arg(node)] >= self._hot_writes
 
     def hot_bytes(self, tier: Optional[Tier] = None) -> int:
         tiers = (tier,) if tier is not None else (Tier.DRAM, Tier.NVM)
@@ -233,37 +204,19 @@ class HotColdTracker:
         return sum(nbytes[(int(t) << 1) | 1] for t in tiers)
 
     # -- sampling --------------------------------------------------------------
-    def record_sample(self, region: Region, page: int, is_store: bool) -> PageRef:
-        """Apply one PEBS record: cool-if-stale, count, reclassify."""
-        store = self.store
-        pid = store.bind_region(region) + page
-        if not store.flags[pid] & TRACKED:
-            self._track_pid(pid, region, page)
-        self.cool_if_stale(pid)
-        if is_store:
-            store.writes[pid] += 1
-            if self._shadow_tracking and store.shadow[pid] >= 0:
-                store.flags[pid] |= DIRTY
-        else:
-            store.reads[pid] += 1
-        self._samples.add(1)
-        if store.reads[pid] + store.writes[pid] >= self._cooling_threshold:
-            # Any page reaching the cooling threshold advances the clock;
-            # the triggering page is cooled immediately, the rest lazily.
-            self._advance_clock()
-            self.cool_if_stale(pid)
-        self._reclassify(pid)
-        return PageRef(store, pid)
-
     def record_samples(self, chunks) -> None:
         """Apply a batch of PEBS records (the drain-thread hot loop).
 
         ``chunks`` iterates ``(kind, region, pages)`` runs of records, e.g.
-        a :class:`~repro.mem.pebs.PebsBatch`.  Operation-for-operation
-        identical to calling :meth:`record_sample` per record; trace events
+        a :class:`~repro.mem.pebs.PebsBatch`.  Each record, in order: track
+        the page on first sight, cool it if stale, bump its load or store
+        counter (a store also dirties a shadow copy), advance the cooling
+        clock if the page reached the threshold (the triggering page is
+        cooled at once, the rest lazily), reclassify.  How records are cut
+        into chunks and batches never changes the outcome.  Trace events
         produced by the batch (``CoolingPass``, ``PageClassified``) are
         accumulated in order and flushed to the tracer in a single
-        ``extend``, so the trace stays bit-identical.
+        ``extend``.
         """
         if self.profile is None:
             self._apply_samples(chunks)
@@ -330,16 +283,17 @@ class HotColdTracker:
                         cool_if_stale(pid)
                         r = reads[pid]
                         w = writes[pid]
+                    write_heavy = w >= hot_writes
                     if (
-                        r < hot_reads
-                        and w < hot_writes
-                        and not flags[pid] & skip_mask
-                        and list_id[pid] == tier_col[pid] << 1
+                        flags[pid] & skip_mask
+                        == (WRITE_HEAVY if write_heavy else 0)
+                        and list_id[pid]
+                        == (tier_col[pid] << 1) | (write_heavy or r >= hot_reads)
                     ):
-                        # Cold page staying cold, already on its tier's
-                        # cold list, no write-heavy bit to clear:
-                        # _reclassify would be a provable no-op, so skip
-                        # the call.
+                        # Not under migration, write-heavy bit current,
+                        # already on the list its tier and heat select:
+                        # _reclassify would be a provable no-op (no move, no
+                        # trace event), so skip the call.
                         continue
                     reclassify(pid)
             if n_samples:
@@ -418,9 +372,8 @@ class HotColdTracker:
             self.cool_if_stale(pid)
         self._reclassify(pid)
 
-    def cool_if_stale(self, node) -> None:
+    def cool_if_stale(self, pid: int) -> None:
         """Halve counts once per missed cooling-clock tick (lazy cooling)."""
-        pid = node if type(node) is int else node.pid
         store = self.store
         missed = self.global_clock - store.clock[pid]
         if missed <= 0:
@@ -429,11 +382,10 @@ class HotColdTracker:
         store.reads[pid] >>= shift
         store.writes[pid] >>= shift
         store.clock[pid] = self.global_clock
-        self._reclassify(pid, cooled=True)
+        self._reclassify(pid)
 
     # -- list maintenance ------------------------------------------------------------
-    def _reclassify(self, node, cooled: bool = False) -> None:
-        pid = node if type(node) is int else node.pid
+    def _reclassify(self, pid: int) -> None:
         store = self.store
         flags = store.flags
         f = flags[pid]
@@ -483,9 +435,8 @@ class HotColdTracker:
             # second chance at the back of the hot list.
             store.push_back(target_lid, pid)
 
-    def page_migrated(self, node) -> None:
+    def page_migrated(self, pid: int) -> None:
         """Called after a page's tier flipped; re-home it on the right list."""
-        pid = node if type(node) is int else node.pid
         store = self.store
         store.detach(pid)
         tier = int(store.region_ref[pid].tier[store.page_no[pid]])
@@ -499,3 +450,69 @@ class HotColdTracker:
             store.push_front(target_lid, pid)
         else:
             store.push_back(target_lid, pid)
+
+    # -- invariants ------------------------------------------------------------
+    def violations(self) -> List[str]:
+        """Check the tracker's structural laws; returns the broken ones.
+
+        - Each list's links, length and byte total agree with a walk of it.
+        - A tracked page is on exactly one list unless it is under
+          migration (then on none), and that list belongs to its tier; an
+          untracked page is on no list.
+        - The tier mirror equals ``region.tier``; the shadow counters
+          match the shadow column; only a shadow holder can be DIRTY.
+
+        For tests and smoke checks; the simulation never calls it.  After
+        :meth:`refresh_tiers` list membership catches up lazily, so the
+        list-tier law holds again only once each moved page is re-sampled.
+        """
+        store = self.store
+        describe = store.describe
+        bad: List[str] = []
+        for fifo in store.fifos:
+            lid = fifo.lid
+            count = nbytes = 0
+            prev = -1
+            pid = store._head[lid]
+            while pid >= 0:
+                if store.list_id[pid] != lid or store.prev[pid] != prev:
+                    bad.append(f"{fifo.name}: broken link at {describe(pid)}")
+                    break
+                if store.tier[pid] != lid >> 1:
+                    bad.append(f"{fifo.name}: holds {TIER_NAMES[store.tier[pid]]}"
+                               f" page {describe(pid)}")
+                count += 1
+                nbytes += store.psize[pid]
+                prev = pid
+                pid = store.next[pid]
+            if pid < 0 and prev != store._tail[lid]:
+                bad.append(f"{fifo.name}: tail is not the last page")
+            if (count, nbytes) != (len(fifo), fifo.nbytes):
+                bad.append(f"{fifo.name}: walked {count} pages / {nbytes} B, "
+                           f"recorded {len(fifo)} / {fifo.nbytes} B")
+        n_tracked = shadows = shadow_bytes = 0
+        for pid in range(store.capacity):
+            f = store.flags[pid]
+            listed = store.list_id[pid] != NO_LIST
+            if f & TRACKED:
+                n_tracked += 1
+                region = store.region_ref[pid]
+                if store.tier[pid] != region.tier[store.page_no[pid]]:
+                    bad.append(f"{describe(pid)}: stale tier mirror")
+                if listed and f & UNDER_MIGRATION:
+                    bad.append(f"{describe(pid)}: listed while under migration")
+                elif not listed and not f & UNDER_MIGRATION:
+                    bad.append(f"{describe(pid)}: tracked but on no list")
+            elif listed:
+                bad.append(f"{describe(pid)}: listed but not tracked")
+            if store.shadow[pid] >= 0:
+                shadows += 1
+                shadow_bytes += store.psize[pid]
+            elif f & DIRTY:
+                bad.append(f"{describe(pid)}: dirty without a shadow")
+        if n_tracked != self._n_tracked:
+            bad.append(f"{n_tracked} tracked pages, counted {self._n_tracked}")
+        if (shadows, shadow_bytes) != (store.shadow_pages, store.shadow_nbytes):
+            bad.append(f"{shadows} shadows / {shadow_bytes} B, counted "
+                       f"{store.shadow_pages} / {store.shadow_nbytes} B")
+        return bad

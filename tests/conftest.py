@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.pagestore import TRACKED
 from repro.mem.machine import Machine, MachineSpec
+from repro.mem.pebs import PebsEventKind
 from repro.sim.stats import StatsRegistry
 from repro.sim.units import GB, MB
 
@@ -57,6 +59,18 @@ class IdleWorkload:
 
     def result(self):
         return {}
+
+
+def sample(tracker, region, page, is_store=False, times=1):
+    """Apply ``times`` PEBS records of one page through ``record_samples``."""
+    kind = PebsEventKind.STORE if is_store else PebsEventKind.DRAM_READ
+    tracker.record_samples([(kind, region, [page] * times)])
+
+
+def tracked_pids(tracker):
+    """Pids of every page ``tracker`` tracks, in pid order."""
+    flags = tracker.store.flags
+    return [pid for pid in range(tracker.store.capacity) if flags[pid] & TRACKED]
 
 
 def run_gups_quick(manager, gups_config, duration=6.0, warmup=2.0, scale=64,

@@ -4,12 +4,13 @@ import pytest
 
 from repro.core.config import HeMemConfig
 from repro.core.hemem import HeMemManager
+from repro.core.pagestore import UNDER_MIGRATION
 from repro.mem.machine import Machine, MachineSpec
 from repro.mem.page import Tier
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, sample
 
 SCALE = 64
 
@@ -35,24 +36,28 @@ class TestMigrator:
         manager.prefault(region)
         nvm_pages = region.pages_in(Tier.NVM)
         assert len(nvm_pages) > 0
-        node = manager.tracker.node(region, int(nvm_pages[0]))
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
-        assert node.under_migration
-        assert manager.uffd.is_write_protected(region, node.page)
+        page = int(nvm_pages[0])
+        store = manager.tracker.store
+        pid = manager.tracker.pid_of(region, page)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
+        assert store.flags[pid] & UNDER_MIGRATION
+        assert manager.uffd.is_write_protected(region, page)
         drain_mover(engine)
-        assert Tier(region.tier[node.page]) is Tier.DRAM
-        assert not node.under_migration
-        assert not manager.uffd.is_write_protected(region, node.page)
-        assert node.owner is manager.tracker.list_for(Tier.DRAM, hot=False)
+        assert Tier(region.tier[page]) is Tier.DRAM
+        assert not store.flags[pid] & UNDER_MIGRATION
+        assert not manager.uffd.is_write_protected(region, page)
+        assert (store.list_id[pid]
+                == manager.tracker.list_for(Tier.DRAM, hot=False).lid)
+        assert manager.tracker.violations() == []
 
     def test_offsets_updated_and_recycled(self):
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
+        pid = manager.tracker.pid_of(region, page)
         nvm_free_before = manager.dax[Tier.NVM].free_pages
-        manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         # Drain the mover directly so the policy thread cannot interleave
         # its own promotions/demotions into the accounting.
         for _ in range(100):
@@ -66,24 +71,24 @@ class TestMigrator:
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
-        assert not manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        pid = manager.tracker.pid_of(region, page)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
+        assert not manager.migrator.migrate(pid, Tier.DRAM, 0.0)
 
     def test_migrating_to_same_tier_rejected(self):
         engine, manager, machine = make_setup()
         region = manager.mmap(1 * GB, name="big")
         manager.prefault(region)
-        node = manager.tracker.node(region, 0)  # in DRAM
-        with pytest.raises(ValueError):
-            manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        pid = manager.tracker.pid_of(region, 0)  # in DRAM
+        with pytest.raises(ValueError, match=r"big\[0\].*already in DRAM"):
+            manager.migrator.migrate(pid, Tier.DRAM, 0.0)
 
     def test_migration_counted(self):
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
         page = int(region.pages_in(Tier.NVM)[0])
-        manager.migrator.migrate(manager.tracker.node(region, page), Tier.DRAM, 0.0)
+        manager.migrator.migrate(manager.tracker.pid_of(region, page), Tier.DRAM, 0.0)
         drain_mover(engine)
         assert machine.stats.counter("hemem.pages_promoted").value == 1
 
@@ -93,8 +98,7 @@ class TestPolicyThread:
         """Mark the first n NVM pages write-hot via fake samples."""
         pages = region.pages_in(Tier.NVM)[:n]
         for page in pages:
-            for _ in range(4):
-                manager.tracker.record_sample(region, int(page), is_store=True)
+            sample(manager.tracker, region, int(page), is_store=True, times=4)
         return pages
 
     def test_hot_nvm_pages_promoted(self):
@@ -113,8 +117,7 @@ class TestPolicyThread:
         manager.prefault(region)
         # Make *all* pages hot: DRAM has no cold page to swap against.
         for page in range(region.n_pages):
-            for _ in range(4):
-                manager.tracker.record_sample(region, page, is_store=True)
+            sample(manager.tracker, region, page, is_store=True, times=4)
         moved_before = machine.stats.counter("hemem.pages_migrated").value
         for _ in range(50):
             engine.step()
@@ -152,8 +155,7 @@ class TestPolicyThread:
         # through the swap path (demote a DRAM cold victim first).
         assert manager.dram_free_bytes() == manager.config.dram_free_watermark
         nvm_page = int(region.pages_in(Tier.NVM)[0])
-        for _ in range(4):
-            manager.tracker.record_sample(region, nvm_page, is_store=True)
+        sample(manager.tracker, region, nvm_page, is_store=True, times=4)
         policy = PolicyService(manager)
         promoted, demoted = policy._promote(0.0)
         assert promoted == 1
@@ -169,8 +171,7 @@ class TestPolicyThread:
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
         nvm_page = int(region.pages_in(Tier.NVM)[0])
-        for _ in range(4):
-            manager.tracker.record_sample(region, nvm_page, is_store=True)
+        sample(manager.tracker, region, nvm_page, is_store=True, times=4)
         # Exhaust NVM: the swap's demotion leg has nowhere to reserve.
         nvm_dax = manager.dax[Tier.NVM]
         grabbed = [nvm_dax.alloc_page() for _ in range(nvm_dax.free_pages)]
@@ -189,9 +190,7 @@ class TestPolicyThread:
         nvm_pages = region.pages_in(Tier.NVM)
         read_hot = int(nvm_pages[0])
         write_hot = int(nvm_pages[1])
-        for _ in range(8):
-            manager.tracker.record_sample(region, read_hot, is_store=False)
-        for _ in range(4):
-            manager.tracker.record_sample(region, write_hot, is_store=True)
+        sample(manager.tracker, region, read_hot, times=8)
+        sample(manager.tracker, region, write_hot, is_store=True, times=4)
         hot_list = manager.tracker.list_for(Tier.NVM, hot=True)
-        assert hot_list.front.page == write_hot
+        assert hot_list.front_pid == manager.tracker.pid_of(region, write_hot)

@@ -22,7 +22,7 @@ from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, sample
 
 SCALE = 64  # DRAM 3 GB, NVM 12 GB
 
@@ -130,7 +130,7 @@ class TestPickDemotionVictimFreshlyHot:
         for pid in list(dram_cold):
             store.reads[pid] = 64
         tracker.global_clock += 1
-        assert pick_demotion_victim(dram_cold, tracker) is None
+        assert pick_demotion_victim(dram_cold, tracker) == -1
         assert not dram_cold
 
     def test_current_clock_front_is_taken_as_is(self):
@@ -189,7 +189,7 @@ class TestNomadShadows:
         page, pid = self._promote_retained(manager, machine, region)
         # A sampled store hits the shadowed page: the tracker folds it
         # into the dirty bit (shadow tracking was enabled by bind()).
-        manager.tracker.record_sample(region, page, is_store=True)
+        sample(manager.tracker, region, page, is_store=True)
         assert store.flags[pid] & DIRTY
         with pytest.raises(ValueError, match="dirty"):
             manager.migrator.remap_demote(pid, 1.0)

@@ -9,7 +9,7 @@ from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, tracked_pids
 
 SCALE = 64
 
@@ -34,9 +34,9 @@ class TestPebsSource:
         tracker = engine.manager.tracker
         hot_pages = set(int(p) for p in workload._hot_pages)
         hot_marked = cold_marked = 0
-        for node in tracker.iter_refs():
-            if tracker.is_hot(node):
-                if node.page in hot_pages:
+        for pid in tracked_pids(tracker):
+            if tracker.is_hot(pid):
+                if tracker.store.page_no[pid] in hot_pages:
                     hot_marked += 1
                 else:
                     cold_marked += 1

@@ -3,10 +3,19 @@
 import pytest
 
 from repro.core.config import HeMemConfig
-from repro.core.pagestore import NO_LIST, PageStore
+from repro.core.pagestore import (
+    DIRTY,
+    NO_LIST,
+    UNDER_MIGRATION,
+    WRITE_HEAVY,
+    PageStore,
+)
 from repro.core.tracking import HotColdTracker
 from repro.mem.page import HUGE_PAGE, Tier
+from repro.mem.pebs import PebsEventKind
 from repro.mem.region import Region
+
+from tests.conftest import sample, tracked_pids
 
 
 @pytest.fixture
@@ -183,24 +192,37 @@ class TestShadowColumns:
         assert store.clear_shadow(base + 7) == 55
 
 
+def lid_of(tracker, tier, hot):
+    return tracker.list_for(tier, hot).lid
+
+
+def state(tracker, region, page):
+    """(reads, writes, clock, list name) of a tracked page."""
+    store = tracker.store
+    pid = tracker.pid_of(region, page)
+    return (store.reads[pid], store.writes[pid], store.clock[pid],
+            store.fifos[store.list_id[pid]].name)
+
+
 class TestTrackPage:
     def test_new_pages_enter_cold_list(self, tracker, region):
-        node = tracker.track_page(region, 0)
-        assert node.owner is tracker.list_for(Tier.DRAM, hot=False)
+        pid = tracker.track_page(region, 0)
+        assert tracker.store.list_id[pid] == lid_of(tracker, Tier.DRAM, False)
 
     def test_nvm_pages_enter_nvm_cold(self, tracker, region):
         region.tier[1] = Tier.NVM
-        node = tracker.track_page(region, 1)
-        assert node.owner is tracker.list_for(Tier.NVM, hot=False)
+        pid = tracker.track_page(region, 1)
+        assert tracker.store.list_id[pid] == lid_of(tracker, Tier.NVM, False)
 
     def test_idempotent(self, tracker, region):
         assert tracker.track_page(region, 0) == tracker.track_page(region, 0)
         assert len(tracker) == 1
+        assert tracked_pids(tracker) == [tracker.pid_of(region, 0)]
 
     def test_untrack(self, tracker, region):
         tracker.track_page(region, 0)
         tracker.untrack_page(region, 0)
-        assert tracker.node(region, 0) is None
+        assert tracker.pid_of(region, 0) == -1
         assert len(tracker.list_for(Tier.DRAM, hot=False)) == 0
 
     def test_untrack_region(self, tracker, region):
@@ -209,36 +231,34 @@ class TestTrackPage:
         tracker.untrack_region(region)
         assert len(tracker) == 0
         assert len(tracker.list_for(Tier.DRAM, hot=False)) == 0
-        assert tracker.node(region, 0) is None
+        assert tracker.pid_of(region, 0) == -1
+        assert tracker.violations() == []
 
 
 class TestClassification:
     def test_hot_after_8_loads(self, tracker, region):
-        for _ in range(7):
-            node = tracker.record_sample(region, 0, is_store=False)
-        assert not tracker.is_hot(node)
-        node = tracker.record_sample(region, 0, is_store=False)
-        assert tracker.is_hot(node)
-        assert node.owner is tracker.list_for(Tier.DRAM, hot=True)
+        sample(tracker, region, 0, times=7)
+        pid = tracker.pid_of(region, 0)
+        assert not tracker.is_hot(pid)
+        sample(tracker, region, 0)
+        assert tracker.is_hot(pid)
+        assert tracker.store.list_id[pid] == lid_of(tracker, Tier.DRAM, True)
 
     def test_hot_after_4_stores(self, tracker, region):
-        for _ in range(4):
-            node = tracker.record_sample(region, 0, is_store=True)
-        assert tracker.is_hot(node)
-        assert node.write_heavy
+        sample(tracker, region, 0, is_store=True, times=4)
+        pid = tracker.pid_of(region, 0)
+        assert tracker.is_hot(pid)
+        assert tracker.store.flags[pid] & WRITE_HEAVY
 
     def test_write_heavy_goes_to_front(self, tracker, region):
         # Make page 0 read-hot first, then page 1 write-hot.
-        for _ in range(8):
-            tracker.record_sample(region, 0, is_store=False)
-        for _ in range(4):
-            tracker.record_sample(region, 1, is_store=True)
+        sample(tracker, region, 0, times=8)
+        sample(tracker, region, 1, is_store=True, times=4)
         hot = tracker.list_for(Tier.DRAM, hot=True)
-        assert hot.front.page == 1
+        assert hot.front_pid == tracker.pid_of(region, 1)
 
     def test_hot_bytes(self, tracker, region):
-        for _ in range(8):
-            tracker.record_sample(region, 0, is_store=False)
+        sample(tracker, region, 0, times=8)
         assert tracker.hot_bytes(Tier.DRAM) == HUGE_PAGE
         assert tracker.hot_bytes(Tier.NVM) == 0
         assert tracker.hot_bytes() == HUGE_PAGE
@@ -246,102 +266,100 @@ class TestClassification:
 
 class TestCooling:
     def test_clock_advances_at_threshold(self, tracker, region):
-        for _ in range(18):
-            tracker.record_sample(region, 0, is_store=False)
+        sample(tracker, region, 0, times=18)
         assert tracker.global_clock == 1
 
     def test_triggering_page_cooled_immediately(self, tracker, region):
-        for _ in range(18):
-            node = tracker.record_sample(region, 0, is_store=False)
-        assert node.reads == 9
-        assert node.clock == 1
+        sample(tracker, region, 0, times=18)
+        reads, _, clock, _ = state(tracker, region, 0)
+        assert reads == 9
+        assert clock == 1
 
     def test_lazy_cooling_on_next_touch(self, tracker, region):
         # Page 1 becomes hot; page 0 then triggers cooling; page 1 cools
         # only when next examined.
-        for _ in range(8):
-            hot_node = tracker.record_sample(region, 1, is_store=False)
-        for _ in range(18):
-            tracker.record_sample(region, 0, is_store=False)
-        assert hot_node.reads == 8  # untouched so far
-        tracker.record_sample(region, 1, is_store=False)
-        assert hot_node.reads == 5  # halved to 4, then incremented
+        sample(tracker, region, 1, times=8)
+        sample(tracker, region, 0, times=18)
+        assert state(tracker, region, 1)[0] == 8  # untouched so far
+        sample(tracker, region, 1)
+        assert state(tracker, region, 1)[0] == 5  # halved to 4, then +1
 
     def test_multi_epoch_cooling_halves_repeatedly(self, tracker, region):
-        node = tracker.track_page(region, 5)
-        node.reads = 16
+        pid = tracker.track_page(region, 5)
+        tracker.store.reads[pid] = 16
         tracker.global_clock = 3
-        tracker.cool_if_stale(node)
-        assert node.reads == 2
-        assert node.clock == 3
+        tracker.cool_if_stale(pid)
+        assert tracker.store.reads[pid] == 2
+        assert tracker.store.clock[pid] == 3
 
     def test_cooled_below_threshold_demotes_to_cold(self, tracker, region):
-        for _ in range(8):
-            node = tracker.record_sample(region, 2, is_store=False)
-        assert node.owner is tracker.list_for(Tier.DRAM, hot=True)
+        sample(tracker, region, 2, times=8)
+        pid = tracker.pid_of(region, 2)
+        assert tracker.store.list_id[pid] == lid_of(tracker, Tier.DRAM, True)
         tracker.global_clock += 1
-        tracker.cool_if_stale(node)
-        assert node.owner is tracker.list_for(Tier.DRAM, hot=False)
+        tracker.cool_if_stale(pid)
+        assert tracker.store.list_id[pid] == lid_of(tracker, Tier.DRAM, False)
 
     def test_formerly_write_heavy_gets_second_chance(self, tracker, region):
         # Write-heavy and read-hot: 4 stores + 12 loads.
-        for _ in range(4):
-            node = tracker.record_sample(region, 3, is_store=True)
-        for _ in range(12):
-            node = tracker.record_sample(region, 3, is_store=False)
-        assert node.write_heavy
+        sample(tracker, region, 3, is_store=True, times=4)
+        sample(tracker, region, 3, times=12)
+        pid = tracker.pid_of(region, 3)
+        assert tracker.store.flags[pid] & WRITE_HEAVY
         tracker.global_clock += 1
-        tracker.cool_if_stale(node)
+        tracker.cool_if_stale(pid)
         # writes 4->2 (not write-heavy), reads 12->6... still hot? 6 < 8 and
         # 2 < 4 means cold; craft counts so it stays hot: re-heat reads.
-        assert not node.write_heavy
+        assert not tracker.store.flags[pid] & WRITE_HEAVY
 
     def test_second_chance_keeps_hot_page_on_hot_list_back(self, tracker, region):
-        node = tracker.track_page(region, 4)
-        node.writes = 4
-        node.reads = 16
-        tracker._reclassify(node)
+        store = tracker.store
+        pid = tracker.track_page(region, 4)
+        store.writes[pid] = 4
+        store.reads[pid] = 16
+        tracker._reclassify(pid)
         hot = tracker.list_for(Tier.DRAM, hot=True)
-        assert node.owner is hot
+        assert store.list_id[pid] == hot.lid
         tracker.global_clock += 1
-        tracker.cool_if_stale(node)
+        tracker.cool_if_stale(pid)
         # writes -> 2 (no longer write-heavy), reads -> 8 (still hot):
         # stays on the hot list, at the back (second chance).
-        assert node.owner is hot
-        assert not node.write_heavy
-        assert hot.front != node or len(hot) == 1
+        assert store.list_id[pid] == hot.lid
+        assert not store.flags[pid] & WRITE_HEAVY
+        assert hot.front_pid != pid or len(hot) == 1
 
 
 class TestMigrationInteraction:
     def test_under_migration_pages_stay_off_lists(self, tracker, region):
-        node = tracker.track_page(region, 0)
-        node.owner.remove(node)
-        node.under_migration = True
-        tracker.record_sample(region, 0, is_store=False)
-        assert node.owner is None
+        store = tracker.store
+        pid = tracker.track_page(region, 0)
+        store.detach(pid)
+        store.flags[pid] |= UNDER_MIGRATION
+        sample(tracker, region, 0)
+        assert store.list_id[pid] == NO_LIST
+        assert tracker.violations() == []
 
     def test_page_migrated_rehomes(self, tracker, region):
-        node = tracker.track_page(region, 0)
-        node.reads = 10  # hot
+        pid = tracker.track_page(region, 0)
+        tracker.store.reads[pid] = 10  # hot
         region.tier[0] = Tier.NVM  # migrated down, say
-        tracker.page_migrated(node)
-        assert node.owner is tracker.list_for(Tier.NVM, hot=True)
+        tracker.page_migrated(pid)
+        assert tracker.store.list_id[pid] == lid_of(tracker, Tier.NVM, True)
 
     def test_page_migrated_write_heavy_front(self, tracker, region):
+        store = tracker.store
         a = tracker.track_page(region, 0)
-        a.reads = 10
+        store.reads[a] = 10
         tracker.page_migrated(a)  # hot DRAM
         b = tracker.track_page(region, 1)
-        b.writes = 5
-        b.write_heavy = True
+        store.writes[b] = 5
+        store.flags[b] |= WRITE_HEAVY
         tracker.page_migrated(b)
-        assert tracker.list_for(Tier.DRAM, hot=True).front == b
+        assert tracker.list_for(Tier.DRAM, hot=True).front_pid == b
 
 
 def mixed_chunks(region, other=None):
     """200 records as chunks of 1-9 records, mixed kinds (and regions)."""
-    from repro.mem.pebs import PebsEventKind
-
     chunks, i = [], 0
     while i < 200:
         size = 1 + (i * 5) % 9
@@ -354,29 +372,23 @@ def mixed_chunks(region, other=None):
 
 
 class TestBatchedSamples:
-    """record_samples must be op-for-op identical to per-record applies."""
+    """record_samples: chunk and batch boundaries never change the outcome."""
 
     def test_matches_per_record_application(self, tracker, region, stats):
-        from repro.mem.pebs import PebsEventKind
-
         other_region = Region(0x9000000, 8 * HUGE_PAGE)
         chunks = mixed_chunks(region, other_region)
         other = HotColdTracker(HeMemConfig(), stats.scoped("other"))
         tracker.record_samples(chunks)
         for kind, reg, pages in chunks:
             for page in pages:
-                other.record_sample(reg, page, kind is PebsEventKind.STORE)
+                other.record_samples([(kind, reg, [page])])
         assert tracker.global_clock == other.global_clock
         for reg in (region, other_region):
             for page in range(8):
-                a = tracker.node(reg, page)
-                b = other.node(reg, page)
-                assert (a.reads, a.writes, a.clock, a.owner.name) == (
-                    b.reads, b.writes, b.clock, b.owner.name
-                )
+                assert state(tracker, reg, page) == state(other, reg, page)
 
     def test_accepts_a_drained_batch(self, tracker, region, stats):
-        from repro.mem.pebs import PebsEventKind, PebsSpec, PebsUnit
+        from repro.mem.pebs import PebsSpec, PebsUnit
         from repro.sim.rng import make_rng
 
         unit = PebsUnit(PebsSpec(sample_period=1), stats, make_rng(1, "t"))
@@ -389,10 +401,21 @@ class TestBatchedSamples:
         assert tracker.global_clock == other.global_clock
         assert stats.counter("tracker.samples").value == 200
         for page in range(8):
-            a, b = tracker.node(region, page), other.node(region, page)
-            assert (a.reads, a.writes, a.clock, a.owner.name) == (
-                b.reads, b.writes, b.clock, b.owner.name
-            )
+            assert state(tracker, region, page) == state(other, region, page)
+
+    def test_hot_page_staying_hot_skips_reclassify(self, tracker, region):
+        """A record that leaves a page on its list with its write-heavy
+        bit unchanged never reaches _reclassify (hot or cold)."""
+        sample(tracker, region, 0, times=8)  # read-hot
+        sample(tracker, region, 1, is_store=True, times=4)  # write-hot
+        calls = []
+        reclassify = tracker._reclassify
+        tracker._reclassify = lambda pid: (calls.append(pid), reclassify(pid))
+        sample(tracker, region, 0, times=3)
+        sample(tracker, region, 1, is_store=True, times=3)
+        assert calls == []
+        sample(tracker, region, 2, is_store=True, times=4)  # newly write-heavy
+        assert calls == [tracker.pid_of(region, 2)]
 
 
 class TestProfiledBatch:
@@ -409,11 +432,7 @@ class TestProfiledBatch:
         prof.record_samples(chunks)
         assert prof.global_clock == fast.global_clock
         for page in range(8):
-            a = fast.node(region, page)
-            b = prof.node(region, page)
-            assert (a.reads, a.writes, a.clock, a.owner.name) == (
-                b.reads, b.writes, b.clock, b.owner.name
-            )
+            assert state(fast, region, page) == state(prof, region, page)
         assert prof.profile["samples"] == sum(len(p) for _, _, p in chunks)
         assert prof.profile["batches"] == 1
         assert prof.profile["drain_ns"] > 0
@@ -424,26 +443,33 @@ class TestProfiledBatch:
             vars(prof))
 
     def test_nested_reclassify_charged_to_cooling_only(self, region, stats):
-        from repro.mem.pebs import PebsEventKind
-
         prof = HotColdTracker(HeMemConfig(), stats)
         prof.profile = {"drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
                         "samples": 0, "batches": 0}
-        node = prof.track_page(region, 0)
-        node.reads = 20
+        pid = prof.track_page(region, 0)
+        prof.store.reads[pid] = 20
+        prof.store.writes[pid] = 6
         prof.global_clock += 1  # page 0 is stale: the batch cools it
         calls = []
+        cool_if_stale = prof.cool_if_stale
         reclassify = prof._reclassify
 
-        def spy(pid, cooled=False):
-            calls.append(cooled)
-            reclassify(pid, cooled)
+        def cool_spy(pid):
+            calls.append("cool")
+            cool_if_stale(pid)
 
-        prof._reclassify = spy
-        prof.record_samples([(PebsEventKind.DRAM_READ, region, [0])])
-        # cool_if_stale's own _reclassify ran inside the cool lap; the
-        # per-record one (the page is hot) ran in the classify lap.
-        assert calls == [True, False]
+        def reclassify_spy(pid):
+            calls.append("classify")
+            reclassify(pid)
+
+        prof.cool_if_stale = cool_spy
+        prof._reclassify = reclassify_spy
+        prof.record_samples([(PebsEventKind.STORE, region, [0])])
+        # Cooling (reads 10, writes 3) re-homed the page inside the cool
+        # lap; the store then made it write-heavy, so the per-record
+        # _reclassify ran in the classify lap.
+        assert calls == ["cool", "classify", "classify"]
+        assert prof.store.flags[pid] & WRITE_HEAVY
         assert prof.profile["cool_ns"] > 0 and prof.profile["classify_ns"] > 0
 
     def test_profile_enabled_by_env_flag(self, stats, monkeypatch):
@@ -456,18 +482,44 @@ class TestProfiledBatch:
 class TestScanHits:
     def test_accessed_increments_reads(self, tracker, region):
         tracker.record_scan_hit(region, 0, accessed=True, dirty=False)
-        assert tracker.node(region, 0).reads == 1
+        assert state(tracker, region, 0)[0] == 1
 
     def test_dirty_increments_writes(self, tracker, region):
         tracker.record_scan_hit(region, 0, accessed=True, dirty=True)
-        node = tracker.node(region, 0)
-        assert node.reads == 1 and node.writes == 1
+        assert state(tracker, region, 0)[:2] == (1, 1)
 
     def test_untouched_pages_not_tracked(self, tracker, region):
         tracker.record_scan_hit(region, 0, accessed=False, dirty=False)
-        assert tracker.node(region, 0) is None
+        assert tracker.pid_of(region, 0) == -1
 
     def test_scan_hits_reach_hot_threshold(self, tracker, region):
         for _ in range(4):
             tracker.record_scan_hit(region, 0, accessed=True, dirty=True)
-        assert tracker.is_hot(tracker.node(region, 0))
+        assert tracker.is_hot(tracker.pid_of(region, 0))
+
+
+class TestViolations:
+    """The tracker's structural-law checker flags each kind of damage."""
+
+    def test_clean_after_mixed_traffic(self, tracker, region):
+        tracker.record_samples(mixed_chunks(region))
+        assert tracker.violations() == []
+
+    def test_detects_page_on_wrong_tier_list(self, tracker, region):
+        pid = tracker.track_page(region, 0)
+        tracker.store.tier[pid] = int(Tier.NVM)  # mirror flipped, list not
+        region.tier[0] = Tier.NVM
+        assert any("holds NVM page" in v for v in tracker.violations())
+
+    def test_detects_tracked_page_off_every_list(self, tracker, region):
+        pid = tracker.track_page(region, 0)
+        tracker.store.detach(pid)
+        assert any("on no list" in v for v in tracker.violations())
+
+    def test_detects_count_drift_and_dirty_without_shadow(self, tracker, region):
+        pid = tracker.track_page(region, 0)
+        tracker.store._count[tracker.store.list_id[pid]] += 1
+        tracker.store.flags[pid] |= DIRTY
+        problems = tracker.violations()
+        assert any("walked 1 pages" in v for v in problems)
+        assert any("dirty without a shadow" in v for v in problems)

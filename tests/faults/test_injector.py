@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.config import HeMemConfig
 from repro.core.hemem import HeMemManager
+from repro.core.pagestore import UNDER_MIGRATION
 from repro.faults import FaultPlan
 from repro.mem.dma import ThreadCopyEngine
 from repro.mem.machine import Machine, MachineSpec
@@ -72,8 +73,8 @@ class TestDmaFaults:
         assert fallback in machine.movers()
         # Migration still works through the fallback.
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
-        assert manager.migrator.migrate(node, Tier.DRAM, engine.clock.now)
+        pid = manager.tracker.pid_of(region, page)
+        assert manager.migrator.migrate(pid, Tier.DRAM, engine.clock.now)
         step_until(engine, 0.15)
         assert Tier(region.tier[page]) is Tier.DRAM
         assert machine.stats.counter("faults.copy_threads.bytes_moved").value > 0
@@ -91,14 +92,14 @@ class TestDmaFaults:
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        pid = manager.tracker.pid_of(region, page)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         step_until(engine, 0.03)
         assert not machine.dma.busy  # queue drained onto the fallback
         assert manager.migrator.busy
         step_until(engine, 0.3)
         assert Tier(region.tier[page]) is Tier.DRAM
-        assert not node.under_migration
+        assert not manager.tracker.store.flags[pid] & UNDER_MIGRATION
 
     def test_all_channels_down_acts_like_dma_down(self):
         engine, manager, machine = make_faulted(

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.hemem import HeMemManager
+from repro.core.pagestore import NO_LIST, UNDER_MIGRATION
 from repro.mem.machine import Machine, MachineSpec
 from repro.mem.page import Tier
 from repro.obs import capture
@@ -44,12 +45,12 @@ def drain_direct(machine, manager, ticks=500):
     assert not manager.migrator.busy, "migration never settled"
 
 
-def fail_times(node, n):
-    """Hook failing the first ``n`` completions of ``node``'s copies only."""
+def fail_times(pid, n):
+    """Hook failing the first ``n`` completions of ``pid``'s copies only."""
     state = {"left": n, "calls": 0}
 
     def hook(request, now):
-        if request.tag[0] != node.pid:  # tags carry pids
+        if request.tag[0] != pid:  # tags carry pids
             return False
         state["calls"] += 1
         if state["left"] > 0:
@@ -74,15 +75,15 @@ class TestRetryThenSuccess:
     def test_completes_after_transient_failures(self):
         engine, manager, machine, region = make_setup()
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
-        hook, state = fail_times(node, 2)
+        pid = manager.tracker.pid_of(region, page)
+        hook, state = fail_times(pid, 2)
         manager.migrator.copy_fault_hook = hook
         dram_free = manager.dax[Tier.DRAM].free_pages
         nvm_free = manager.dax[Tier.NVM].free_pages
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
         assert Tier(region.tier[page]) is Tier.DRAM
-        assert not node.under_migration
+        assert not manager.tracker.store.flags[pid] & UNDER_MIGRATION
         assert state["calls"] == 3  # two failures + the success draw
         assert machine.stats.counter("hemem.migration_retries").value == 2
         assert machine.stats.counter("hemem.migrations_aborted").value == 0
@@ -95,10 +96,10 @@ class TestRetryThenSuccess:
         with capture(trace=True, metrics=False) as cap:
             engine, manager, machine, region = make_setup()
             page = int(region.pages_in(Tier.NVM)[0])
-            node = manager.tracker.node(region, page)
-            hook, _ = fail_times(node, 5)
+            pid = manager.tracker.pid_of(region, page)
+            hook, _ = fail_times(pid, 5)
             manager.migrator.copy_fault_hook = hook
-            assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+            assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
             drain_direct(machine, manager)
         [payload] = cap.payloads()
         retried = [e for e in payload["trace"] if e["kind"] == "migration_retried"]
@@ -111,17 +112,17 @@ class TestAbortRollsBack:
     def test_permanent_failure_aborts_cleanly(self):
         engine, manager, machine, region = make_setup()
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
+        pid = manager.tracker.pid_of(region, page)
         manager.migrator.copy_fault_hook = lambda request, now: True
         dram_free = manager.dax[Tier.DRAM].free_pages
         nvm_free = manager.dax[Tier.NVM].free_pages
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
         # Page stays put, fully accessible, reservation rolled back.
         assert Tier(region.tier[page]) is Tier.NVM
-        assert not node.under_migration
+        assert not manager.tracker.store.flags[pid] & UNDER_MIGRATION
         assert not manager.uffd.is_write_protected(region, page)
-        assert node.owner is not None
+        assert manager.tracker.store.list_id[pid] != NO_LIST
         assert manager.dax[Tier.DRAM].free_pages == dram_free
         assert manager.dax[Tier.NVM].free_pages == nvm_free
         migrator = manager.migrator
@@ -134,12 +135,12 @@ class TestAbortRollsBack:
     def test_aborted_page_can_migrate_again(self):
         engine, manager, machine, region = make_setup()
         page = int(region.pages_in(Tier.NVM)[0])
-        node = manager.tracker.node(region, page)
+        pid = manager.tracker.pid_of(region, page)
         manager.migrator.copy_fault_hook = lambda request, now: True
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
         manager.migrator.copy_fault_hook = None
-        assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
         assert Tier(region.tier[page]) is Tier.DRAM
         occupancy_consistent(manager, machine)
@@ -159,17 +160,19 @@ class TestNoLeakNoDoubleFree:
         manager.migrator.copy_fault_hook = (
             lambda request, now: next(draws, False)
         )
-        nodes = [
-            manager.tracker.node(region, int(p))
+        pids = [
+            manager.tracker.pid_of(region, int(p))
             for p in region.pages_in(Tier.NVM)[:n_pages]
         ]
-        for node in nodes:
-            assert manager.migrator.migrate(node, Tier.DRAM, 0.0)
+        for pid in pids:
+            assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
         occupancy_consistent(manager, machine)
         migrated = machine.stats.counter("hemem.pages_migrated").value
         aborted = machine.stats.counter("hemem.migrations_aborted").value
         assert migrated + aborted == n_pages
-        for node in nodes:
-            assert not node.under_migration
-            assert not manager.uffd.is_write_protected(region, node.page)
+        store = manager.tracker.store
+        for pid in pids:
+            assert not store.flags[pid] & UNDER_MIGRATION
+            assert not manager.uffd.is_write_protected(region, store.page_no[pid])
+        assert manager.tracker.violations() == []

@@ -66,7 +66,7 @@ class LegacyPolicyService(Service):
                 promoted += 1
                 continue
             victim = self._pick_demotion_victim(dram_cold, tracker)
-            if victim is None:
+            if victim < 0:
                 break
             if dram_dax.free_pages == 0 or nvm_dax.free_pages == 0:
                 break
@@ -96,11 +96,10 @@ class LegacyPolicyService(Service):
         ):
             victim = self._pick_demotion_victim(dram_cold, tracker)
             reason = "demote-watermark"
-            if victim is None:
-                front = dram_hot.front_pid
-                victim = front if front >= 0 else None
+            if victim < 0:
+                victim = dram_hot.front_pid
                 reason = "demote-watermark-hot"
-            if victim is None:
+            if victim < 0:
                 break
             if not migrator.migrate(victim, Tier.NVM, now, reason=reason):
                 break

@@ -11,12 +11,14 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.config import HeMemConfig
+from repro.core.pagestore import NO_LIST, UNDER_MIGRATION, WRITE_HEAVY
 from repro.core.tracking import HotColdTracker
 from repro.mem.page import HUGE_PAGE, Tier
 from repro.mem.pebs import PebsEventKind
 from repro.mem.region import Region
 from repro.sim.stats import StatsRegistry
 
+from tests.conftest import sample
 from tests.oracles.legacy_tracking import HotColdTracker as LegacyTracker
 
 N_PAGES = 24
@@ -45,7 +47,32 @@ op_strategy = st.lists(
 
 
 def snapshot(tracker, region):
-    """Canonical tracker state: per-page counters + per-list FIFO order."""
+    """Canonical columnar-tracker state: per-page counters + FIFO order."""
+    store = tracker.store
+    pages = {}
+    for page in range(N_PAGES):
+        pid = tracker.pid_of(region, page)
+        if pid < 0:
+            pages[page] = None
+        else:
+            lid = store.list_id[pid]
+            pages[page] = (
+                store.reads[pid], store.writes[pid], store.clock[pid],
+                bool(store.flags[pid] & WRITE_HEAVY),
+                bool(store.flags[pid] & UNDER_MIGRATION),
+                store.fifos[lid].name if lid != NO_LIST else None,
+            )
+    lists = {}
+    for tier in (Tier.DRAM, Tier.NVM):
+        for hot in (False, True):
+            lst = tracker.list_for(tier, hot)
+            order = [store.page_no[pid] for pid in lst]
+            lists[lst.name] = (order, len(lst), lst.nbytes)
+    return tracker.global_clock, pages, lists
+
+
+def legacy_snapshot(tracker, region):
+    """The same canonical state read off the legacy object graph."""
     pages = {}
     for page in range(N_PAGES):
         node = tracker.node(region, page)
@@ -61,13 +88,7 @@ def snapshot(tracker, region):
     for tier in (Tier.DRAM, Tier.NVM):
         for hot in (False, True):
             lst = tracker.list_for(tier, hot)
-            order = [
-                (ref.page if hasattr(ref, "page") else ref)
-                for ref in (lst.refs() if hasattr(lst, "refs") else lst)
-            ]
-            # Legacy lists yield nodes; normalise to page numbers.
-            order = [o.page if hasattr(o, "page") else o for o in order]
-            lists[lst.name] = (order, len(lst), lst.nbytes)
+            lists[lst.name] = ([node.page for node in lst], len(lst), lst.nbytes)
     return tracker.global_clock, pages, lists
 
 
@@ -79,19 +100,19 @@ def apply_ops(ops):
     old = LegacyTracker(HeMemConfig(), stats.scoped("old"))
     for kind, page, flag in ops:
         if kind == "sample":
-            new.record_sample(region_new, page, flag)
+            sample(new, region_new, page, flag)
             old.record_sample(region_old, page, flag)
         elif kind == "scan":
             new.record_scan_hit(region_new, page, True, flag)
             old.record_scan_hit(region_old, page, True, flag)
         elif kind == "cool":
-            n, o = new.node(region_new, page), old.node(region_old, page)
-            if n is not None and o is not None:
+            n, o = new.pid_of(region_new, page), old.node(region_old, page)
+            if n >= 0 and o is not None:
                 new.cool_if_stale(n)
                 old.cool_if_stale(o)
         elif kind == "migrate":
-            n, o = new.node(region_new, page), old.node(region_old, page)
-            if n is not None and o is not None:
+            n, o = new.pid_of(region_new, page), old.node(region_old, page)
+            if n >= 0 and o is not None:
                 flipped = Tier.NVM if region_new.tier[page] == Tier.DRAM else Tier.DRAM
                 region_new.tier[page] = flipped
                 region_old.tier[page] = flipped
@@ -110,8 +131,9 @@ def apply_ops(ops):
 @settings(max_examples=150, deadline=None)
 def test_columnar_tracker_matches_legacy(ops):
     new, old, region_new, region_old = apply_ops(ops)
-    assert snapshot(new, region_new) == snapshot(old, region_old)
+    assert snapshot(new, region_new) == legacy_snapshot(old, region_old)
     assert len(new) == len(old)
+    assert new.violations() == []
 
 
 def chunked(samples, cuts, region):
@@ -143,5 +165,5 @@ def test_batched_apply_matches_legacy(ops, cuts, batch_ends):
         new.record_samples(chunked(samples[lo:hi], cuts, region_new))
     for page, is_store in samples:
         old.record_sample(region_old, page, is_store)
-    assert snapshot(new, region_new) == snapshot(old, region_old)
+    assert snapshot(new, region_new) == legacy_snapshot(old, region_old)
     assert stats.counter("new.tracker.samples").value == len(samples)

@@ -22,7 +22,7 @@ from repro.mem.page import Tier
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, sample
 
 SCALE = 64
 N_CAND = 6  # ops address the first N_CAND initially-NVM pages
@@ -51,6 +51,7 @@ def drain_direct(machine, manager, now, ticks=500):
 
 def check_shadow_invariants(manager, machine, quiescent=False):
     """Structural invariants (hold at every step; conservation needs rest)."""
+    assert manager.tracker.violations() == []
     store = manager.tracker.store
     offsets = []
     for pid in range(store.capacity):
@@ -117,7 +118,7 @@ class TestShadowInvariants:
             elif op == "dirty":
                 pid = pids[arg]
                 if store.shadow[pid] >= 0:
-                    tracker.record_sample(region, pages[arg], is_store=True)
+                    sample(tracker, region, pages[arg], is_store=True)
                     assert store.flags[pid] & DIRTY
             elif op == "demote":
                 pid = pids[arg]
@@ -183,7 +184,7 @@ class TestAbortLeavesShadowsAlone:
         drain_direct(machine, manager, 0.0)
         # Dirty the victim so the policy takes the copy path.
         victim, victim_page = pids[0], nvm_pages[0]
-        tracker.record_sample(region, victim_page, is_store=True)
+        sample(tracker, region, victim_page, is_store=True)
         assert store.flags[victim] & DIRTY
         migrator.copy_fault_hook = lambda request, now: True  # always fail
         assert manager.policy._submit_demotion(victim, 1.0, "demote-watermark")

@@ -14,6 +14,8 @@ from repro.mem.page import HUGE_PAGE, Tier
 from repro.mem.region import Region
 from repro.sim.stats import StatsRegistry
 
+from tests.conftest import sample, tracked_pids
+
 N_PAGES = 16
 
 sample_strategy = st.lists(
@@ -31,61 +33,65 @@ def run_samples(samples):
     tracker = HotColdTracker(HeMemConfig(), StatsRegistry())
     for page, is_store, flip in samples:
         if flip:
-            node = tracker.node(region, page)
+            pid = tracker.pid_of(region, page)
             new_tier = Tier.NVM if region.tier[page] == Tier.DRAM else Tier.DRAM
             region.tier[page] = new_tier
-            if node is not None:
-                tracker.page_migrated(node)
-        tracker.record_sample(region, page, is_store)
+            if pid >= 0:
+                tracker.page_migrated(pid)
+        sample(tracker, region, page, is_store)
     return region, tracker
+
+
+LISTS = [(tier, hot) for tier in (Tier.DRAM, Tier.NVM) for hot in (False, True)]
 
 
 @given(sample_strategy)
 @settings(max_examples=150, deadline=None)
 def test_every_tracked_page_on_exactly_one_list(samples):
     region, tracker = run_samples(samples)
-    seen = set()
-    for key, lst in tracker.lists.items():
-        for node in lst.refs():
-            assert (node.region.region_id, node.page) not in seen
-            seen.add((node.region.region_id, node.page))
-    tracked = {(r.region.region_id, r.page) for r in tracker.iter_refs()}
-    assert seen == tracked
+    assert tracker.violations() == []
+    seen = []
+    for tier, hot in LISTS:
+        seen.extend(tracker.list_for(tier, hot))
+    assert sorted(seen) == tracked_pids(tracker)
 
 
 @given(sample_strategy)
 @settings(max_examples=150, deadline=None)
 def test_list_membership_matches_classification(samples):
     region, tracker = run_samples(samples)
-    for (tier, hot), lst in tracker.lists.items():
-        for node in lst.refs():
-            assert node.tier == tier
-            assert tracker.is_hot(node) == hot
+    store = tracker.store
+    for tier, hot in LISTS:
+        for pid in tracker.list_for(tier, hot):
+            assert region.tier[store.page_no[pid]] == tier
+            assert tracker.is_hot(pid) == hot
 
 
 @given(sample_strategy)
 @settings(max_examples=150, deadline=None)
 def test_counters_nonnegative_and_bounded(samples):
     region, tracker = run_samples(samples)
+    store = tracker.store
     limit = tracker.config.cooling_threshold + 1
-    for node in tracker.iter_refs():
-        assert node.reads >= 0
-        assert node.writes >= 0
+    for pid in tracked_pids(tracker):
+        assert store.reads[pid] >= 0
+        assert store.writes[pid] >= 0
         # Cooling fires at the threshold, so counts can only exceed it by
         # the final increment.
-        assert node.reads + node.writes <= limit
+        assert store.reads[pid] + store.writes[pid] <= limit
 
 
 @given(sample_strategy)
 @settings(max_examples=100, deadline=None)
 def test_cooling_never_increases_counts(samples):
     region, tracker = run_samples(samples)
-    for node in tracker.iter_refs():
-        before = (node.reads, node.writes)
+    store = tracker.store
+    for pid in tracked_pids(tracker):
+        before = (store.reads[pid], store.writes[pid])
         tracker.global_clock += 1
-        tracker.cool_if_stale(node)
-        assert node.reads <= before[0]
-        assert node.writes <= before[1]
+        tracker.cool_if_stale(pid)
+        assert store.reads[pid] <= before[0]
+        assert store.writes[pid] <= before[1]
 
 
 @given(sample_strategy)
@@ -94,6 +100,6 @@ def test_hot_bytes_matches_lists(samples):
     region, tracker = run_samples(samples)
     for tier in (Tier.DRAM, Tier.NVM):
         manual = sum(
-            node.nbytes for node in tracker.list_for(tier, hot=True).refs()
+            tracker.store.psize[pid] for pid in tracker.list_for(tier, hot=True)
         )
         assert tracker.hot_bytes(tier) == manual
