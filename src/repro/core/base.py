@@ -11,13 +11,16 @@ cache — derives its view).
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Optional
+from typing import Dict, Optional, Tuple
 
 from repro.kernel.syscalls import SyscallLayer
 from repro.mem.access import AccessStream, StreamResult, TierSplit
 from repro.mem.machine import Machine
 from repro.mem.page import Tier
 from repro.mem.region import Region
+
+#: Bound on the per-manager split cache; evicted wholesale when exceeded.
+_SPLIT_CACHE_LIMIT = 64
 
 
 class TieredMemoryManager(ABC):
@@ -30,9 +33,11 @@ class TieredMemoryManager(ABC):
         self.machine: Optional[Machine] = None
         self.engine = None
         self.syscalls: Optional[SyscallLayer] = None
-        # Last (read_frac, write_frac) -> TierSplit; placement repeats in
-        # steady state, so most ticks reuse the previous (immutable) split.
-        self._split_cache: Optional[tuple] = None
+        # (read_frac, write_frac) -> TierSplit; placement repeats in steady
+        # state, so most ticks reuse an earlier (immutable) split, also
+        # when several streams alternate.  Identical splits let the perf
+        # model's identity-keyed memos hit.
+        self._split_cache: Dict[Tuple[float, float], TierSplit] = {}
 
     # -- lifecycle -------------------------------------------------------------
     def attach(self, machine: Machine, engine) -> None:
@@ -71,11 +76,13 @@ class TieredMemoryManager(ABC):
             write_frac = region.dram_fraction(write_weights)
         else:
             write_frac = read_frac
-        cached = self._split_cache
-        if cached is not None and cached[0] == read_frac and cached[1] == write_frac:
-            return cached[2]
-        split = TierSplit(dram_read_frac=read_frac, dram_write_frac=write_frac)
-        self._split_cache = (read_frac, write_frac, split)
+        cache = self._split_cache
+        split = cache.get((read_frac, write_frac))
+        if split is None:
+            split = TierSplit(dram_read_frac=read_frac, dram_write_frac=write_frac)
+            if len(cache) >= _SPLIT_CACHE_LIMIT:
+                cache.clear()
+            cache[(read_frac, write_frac)] = split
         return split
 
     # -- feedback ---------------------------------------------------------------

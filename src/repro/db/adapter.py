@@ -37,6 +37,11 @@ class TpccAccessModel:
 
     def __init__(self, storage: TpccStorage, engine: TpccEngine,
                  profile_txns: int = 400, keep_templates: int = 96):
+        if profile_txns <= 0:
+            raise ValueError(f"profile_txns must be positive: {profile_txns}")
+        if keep_templates <= 0:
+            raise ValueError(
+                f"keep_templates must be positive: {keep_templates}")
         self.storage = storage
         self.engine = engine
         self.profile_txns = profile_txns
@@ -49,6 +54,10 @@ class TpccAccessModel:
         #: (txn_name, [(arena, page, is_write), ...]) samples of the mix
         self.templates: List[Tuple[str, list]] = []
         self.profile: Dict[str, float] = {}
+        #: (heap region, index region, per-arena compiled templates)
+        self._compiled: Optional[tuple] = None
+        #: (placement/pricing key, per-template cost vector), one slot
+        self._cost_memo: Optional[tuple] = None
 
     # ------------------------------------------------------------ compile
     def compile(self) -> Dict[str, float]:
@@ -67,6 +76,7 @@ class TpccAccessModel:
                     self.read_counts[arena][page] += 1
                     key = "heap_reads" if arena == HEAP_ARENA else "index_reads"
                 per_txn[key] += 1
+        self._compiled = self._cost_memo = None  # the templates changed
         n = float(self.profile_txns)
         self.profile = {k + "_per_tx": v / n for k, v in per_txn.items()}
         self.profile["touches_per_tx"] = sum(per_txn.values()) / n
@@ -104,30 +114,26 @@ class TpccAccessModel:
             return None
         return weights / total
 
-    def _template_pages(self, touches: list, arena_id: int, region) -> np.ndarray:
-        e, slots = self._expansion(arena_id, region)
-        pages = np.array([p for a, p, _ in touches if a == arena_id],
-                         dtype=np.int64)
-        return np.minimum(pages * e // slots, region.n_pages - 1)
-
     # ------------------------------------------------------ txn latency
-    def _touch_stall(self, touches: list, regions: dict) -> float:
-        """Summed media stall (seconds) of one touch list at current
-        placement."""
-        stall = 0.0
+    def _compile_touches(self, touches: list, regions: dict) -> dict:
+        """Per arena: the region pages ``touches`` land on and each touch's
+        DRAM and NVM media stall (seconds), in touch order."""
+        cols = {arena_id: ([], []) for arena_id in regions}
+        for arena_id, page, is_write in touches:
+            pages, writes = cols[arena_id]
+            pages.append(page)
+            writes.append(is_write)
+        out = {}
         for arena_id, region in regions.items():
-            pages = self._template_pages(touches, arena_id, region)
-            if len(pages) == 0:
-                continue
-            w = np.array([bool(is_w) for a, _, is_w in touches
-                          if a == arena_id])
-            in_dram = region.tier[pages] == Tier.DRAM
-            stall += float(np.where(
-                in_dram,
-                np.where(w, T_DRAM_WRITE, T_DRAM_READ),
-                np.where(w, T_NVM_WRITE, T_NVM_READ),
-            ).sum())
-        return stall
+            e, slots = self._expansion(arena_id, region)
+            pages, writes = cols[arena_id]
+            pages = np.minimum(np.array(pages, dtype=np.int64) * e // slots,
+                               region.n_pages - 1)
+            w = np.array(writes, dtype=bool)
+            out[arena_id] = (pages,
+                             np.where(w, T_DRAM_WRITE, T_DRAM_READ),
+                             np.where(w, T_NVM_WRITE, T_NVM_READ))
+        return out
 
     def price_txn(self, touches: list, heap_region, index_region,
                   cpu_ns_per_tx: float = 20_000.0,
@@ -135,9 +141,75 @@ class TpccAccessModel:
                   mlp: float = 2.0) -> float:
         """Modeled latency (seconds) of one transaction's touch list."""
         regions = {HEAP_ARENA: heap_region, INDEX_ARENA: index_region}
+        stall = 0.0
+        for arena_id, (pages, dram_cost, nvm_cost) in self._compile_touches(
+                touches, regions).items():
+            if len(pages):
+                stall += float(np.where(
+                    regions[arena_id].tier[pages] == Tier.DRAM,
+                    dram_cost, nvm_cost).sum())
         return (cpu_ns_per_tx * 1e-9
                 + len(touches) * access_overhead_ns * 1e-9
-                + self._touch_stall(touches, regions) / mlp)
+                + stall / mlp)
+
+    def _template_costs(self, heap_region, index_region,
+                        cpu_ns_per_tx: float, access_overhead_ns: float,
+                        mlp: float) -> np.ndarray:
+        """Every retained template's modeled latency at current placement.
+
+        The templates are compiled once per region pair into one
+        concatenated (pages, DRAM cost, NVM cost) array set per arena, and
+        the cost vector is memoized on both regions' ``tier_version``.
+        Each template's arena stall is still one ``np.where(...).sum()``
+        over its own touches, heap then index, so every value is
+        bit-identical to pricing the template alone with ``price_txn``.
+        """
+        key = (heap_region, index_region, heap_region.tier_version,
+               index_region.tier_version, cpu_ns_per_tx, access_overhead_ns,
+               mlp)
+        memo = self._cost_memo
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        regions = {HEAP_ARENA: heap_region, INDEX_ARENA: index_region}
+        compiled = self._compiled
+        if (compiled is None or compiled[0] is not heap_region
+                or compiled[1] is not index_region):
+            compiled = (heap_region, index_region,
+                        self._compile_templates(regions))
+            self._compiled = compiled
+        n = len(self.templates)
+        stall = np.zeros(n)
+        for arena_id, (pages, dram_cost, nvm_cost, bounds) in compiled[2].items():
+            cost = np.where(regions[arena_id].tier[pages] == Tier.DRAM,
+                            dram_cost, nvm_cost)
+            for t in range(n):
+                lo, hi = bounds[t], bounds[t + 1]
+                if hi > lo:
+                    stall[t] += float(cost[lo:hi].sum())
+        n_touches = np.array([len(touches) for _, touches in self.templates],
+                             dtype=np.float64)
+        costs = (cpu_ns_per_tx * 1e-9
+                 + n_touches * access_overhead_ns * 1e-9
+                 + stall / mlp)
+        self._cost_memo = (key, costs)
+        return costs
+
+    def _compile_templates(self, regions: dict) -> dict:
+        """Per arena: every template's compiled touches, concatenated, plus
+        the bounds of template ``t``'s slice, ``[bounds[t], bounds[t+1])``."""
+        per_template = [self._compile_touches(touches, regions)
+                        for _, touches in self.templates]
+        out = {}
+        for arena_id in regions:
+            parts = [c[arena_id] for c in per_template]
+            bounds = [0]
+            for pages, _, _ in parts:
+                bounds.append(bounds[-1] + len(pages))
+            out[arena_id] = (np.concatenate([p[0] for p in parts]),
+                             np.concatenate([p[1] for p in parts]),
+                             np.concatenate([p[2] for p in parts]),
+                             bounds)
+        return out
 
     def txn_latency_percentiles(
         self,
@@ -159,12 +231,8 @@ class TpccAccessModel:
         overhead (the buffer pool's latch/lookup tax), plus an M/M/1
         queueing wait at ``load``.
         """
-        regions = {HEAP_ARENA: heap_region, INDEX_ARENA: index_region}
-        costs = np.empty(len(self.templates))
-        for t, (_, touches) in enumerate(self.templates):
-            costs[t] = (cpu_ns_per_tx * 1e-9
-                        + len(touches) * access_overhead_ns * 1e-9
-                        + self._touch_stall(touches, regions) / mlp)
+        costs = self._template_costs(heap_region, index_region,
+                                     cpu_ns_per_tx, access_overhead_ns, mlp)
         picks = rng.integers(0, len(self.templates), size=n_samples)
         svc = costs[picks]
         rho = min(max(load, 0.0), 0.95)

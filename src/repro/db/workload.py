@@ -24,7 +24,7 @@ stops — the first workload in the repo to exercise that path (see
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,6 +80,12 @@ class TpccBufferConfig:
             raise ValueError("threads must be positive")
         if self.live_txn_rate < 0:
             raise ValueError("live_txn_rate cannot be negative")
+        if self.profile_txns <= 0:
+            raise ValueError(
+                f"profile_txns must be positive: {self.profile_txns}")
+        if self.latency_samples <= 0:
+            raise ValueError(
+                f"latency_samples must be positive: {self.latency_samples}")
 
 
 class TpccBufferWorkload(Workload):
@@ -100,6 +106,7 @@ class TpccBufferWorkload(Workload):
         self._overhead_ns = 0.0
         self._weights: Dict[int, Optional[np.ndarray]] = {}
         self._write_weights: Dict[int, Optional[np.ndarray]] = {}
+        self._streams: Tuple[AccessStream, ...] = ()
         self._tick_ops: Dict[str, float] = {}
         self._live_accum = 0.0
         self._live_done = 0
@@ -140,10 +147,11 @@ class TpccBufferWorkload(Workload):
                 arena_id, region)
             self._write_weights[arena_id] = self.model.region_weights(
                 arena_id, region, writes_only=True)
+        self._streams = self._build_streams()
         self._next_p99_at = self.measure_start
 
-    # -- per-tick mix --------------------------------------------------------
-    def access_mix(self, now: float, dt: float) -> List[AccessStream]:
+    def _build_streams(self) -> Tuple[AccessStream, ...]:
+        """The heap and index streams; every input is fixed after setup."""
         cfg = self.config
         p = self.model.profile
         heap_touches = p["heap_reads_per_tx"] + p["heap_writes_per_tx"]
@@ -154,7 +162,7 @@ class TpccBufferWorkload(Workload):
         # Each stream carries the full thread count: it models "the time
         # the threads spend in this part of the transaction", and
         # on_progress composes the two parts serially.
-        return [
+        return (
             AccessStream(
                 name="tpcc_heap",
                 region=self.heap_region,
@@ -185,7 +193,14 @@ class TpccBufferWorkload(Workload):
                 write_weights=self._write_weights[INDEX_ARENA],
                 cache_classes=[(1.0, cfg.index_bytes)],
             ),
-        ]
+        )
+
+    # -- per-tick mix --------------------------------------------------------
+    def access_mix(self, now: float, dt: float) -> List[AccessStream]:
+        # The streams are built once at setup, like GupsWorkload's: the
+        # same objects every tick let the identity-keyed placement and
+        # resolve memos hit in steady state.
+        return list(self._streams)
 
     def on_progress(self, stream, result, now, dt) -> None:
         self._tick_ops[stream.name] = result.ops

@@ -44,7 +44,8 @@ class AccessStream:
             overlaps; divides the effective memory stall per op.
         write_weights: optional separate per-page distribution for stores
             (the write-skew experiment concentrates stores on a sub-range);
-            ``None`` means stores follow ``weights``.
+            ``None`` means stores follow ``weights``.  Both arrays are made
+            read-only: a workload replaces them, never edits them in place.
         cache_classes: optional hint for cache-based managers (Memory Mode):
             ``[(rate_fraction, footprint_bytes), ...]`` describing the
             stream's locality structure.  Placement-based managers ignore it.
@@ -94,6 +95,9 @@ class AccessStream:
             raise ValueError(f"stream {self.name}: {label} sum to {total}")
         if abs(total - 1.0) > 1e-9:
             weights = weights / total
+        # Placement and resolve memos key on the array's identity, so an
+        # in-place edit would serve stale answers: make it raise instead.
+        weights.setflags(write=False)
         return weights
 
     def page_weights(self) -> np.ndarray:

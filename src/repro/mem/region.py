@@ -13,11 +13,15 @@ the substrate the simulated access/dirty bits are derived from.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.mem.page import HUGE_PAGE, Tier
+
+#: Bound on a region's ``dram_fraction`` memo (distinct weights arrays per
+#: placement version); evicted wholesale when exceeded.
+_DOT_MEMO_LIMIT = 16
 
 
 class RegionKind(Enum):
@@ -67,7 +71,11 @@ class Region:
         # Steady-state ticks (no migrations in flight) hit these instead of
         # re-reducing the mask thousands of times per run.
         self._mean_cache = (-1, 0.0)  # (tier_version, mean)
-        self._dot_cache = (-1, None, 0.0)  # (tier_version, weights ref, dot)
+        # id(weights) -> (weights ref, dot), one entry per weights array a
+        # stream carries (a stream's loads and stores may follow different
+        # arrays), valid for ``_dot_version`` only.
+        self._dot_memo: Dict[int, tuple] = {}
+        self._dot_version = -1
         self._bytes_cache = (-1, 0, 0)  # (tier_version, dram_bytes, nvm_bytes)
         self.mapped = np.zeros(self.n_pages, dtype=bool)
 
@@ -123,14 +131,21 @@ class Region:
             value = float(self._in_dram_mask().mean())
             self._mean_cache = (version, value)
             return value
-        cached_version, cached_weights, value = self._dot_cache
-        # The identity check is sound because the cache holds a strong
-        # reference: a live entry's id cannot be recycled, and weight
-        # arrays are replaced (never mutated) by contract.
-        if cached_version == version and cached_weights is weights:
-            return value
+        memo = self._dot_memo
+        if self._dot_version == version:
+            # The identity check is sound because each entry holds a
+            # strong reference: a live entry's id cannot be recycled, and
+            # stream weight arrays are read-only (see AccessStream).
+            hit = memo.get(id(weights))
+            if hit is not None and hit[0] is weights:
+                return hit[1]
+        else:
+            memo.clear()
+            self._dot_version = version
         value = float(np.dot(weights, self._in_dram_mask()))
-        self._dot_cache = (version, weights, value)
+        if len(memo) >= _DOT_MEMO_LIMIT:
+            memo.clear()
+        memo[id(weights)] = (weights, value)
         return value
 
     def bytes_in(self, tier: Tier) -> int:

@@ -6,8 +6,9 @@ so we cache each array's cumulative sum (keyed by object identity) and
 sample with binary search — O(log n) per draw after a one-time O(n) scan.
 
 Weight arrays must be *replaced*, never mutated in place, when a workload's
-distribution changes (all in-tree workloads do this); mutation would leave a
-stale cumulative sum in the cache.
+distribution changes; mutation would leave a stale cumulative sum in the
+cache.  ``AccessStream`` makes its weight arrays read-only, so an in-place
+edit raises instead.
 """
 
 from __future__ import annotations

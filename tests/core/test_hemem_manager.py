@@ -1,9 +1,12 @@
 """Integration tests for the assembled HeMem manager."""
 
+import numpy as np
 import pytest
 
+from repro.core.base import _SPLIT_CACHE_LIMIT
 from repro.core.config import HeMemConfig
 from repro.core.hemem import HeMemManager, hemem_pt_async, hemem_pt_sync
+from repro.mem.access import AccessStream
 from repro.mem.machine import Machine, MachineSpec
 from repro.mem.page import Tier
 from repro.sim.engine import Engine, EngineConfig
@@ -100,6 +103,44 @@ class TestAllocationSurface:
         engine = make_engine()
         region = engine.manager.mmap(1 * GB, name="big")
         assert engine.manager.uffd.is_registered(region)
+
+
+class TestSplitCache:
+    def test_alternating_streams_reuse_their_splits(self):
+        engine = make_engine()
+        manager = engine.manager
+        region = manager.mmap(4 * GB, name="big")
+        manager.prefault(region)
+        n = region.n_pages
+        streams = [
+            AccessStream(name="a", region=region, threads=1,
+                         weights=np.arange(1, n + 1, dtype=float)),
+            AccessStream(name="b", region=region, threads=1,
+                         weights=np.arange(n, 0, -1, dtype=float),
+                         write_weights=np.ones(n)),
+        ]
+        first = [manager.split_by_tier(s, 0.0) for s in streams]
+        for _ in range(3):
+            again = [manager.split_by_tier(s, 0.0) for s in streams]
+            assert all(x is y for x, y in zip(again, first))
+        assert first[0] is not first[1]
+        assert first[1].dram_read_frac == region.dram_fraction(streams[1].weights)
+        assert first[1].dram_write_frac == region.dram_fraction(
+            streams[1].write_weights)
+
+    def test_cache_is_bounded(self):
+        engine = make_engine()
+        manager = engine.manager
+        region = manager.mmap(4 * GB, name="big")
+        manager.prefault(region)
+        assert 0 < region.dram_fraction() < 1
+        for i in range(3 * _SPLIT_CACHE_LIMIT):
+            weights = np.ones(region.n_pages)
+            weights[-1] += i  # a new DRAM fraction per stream
+            manager.split_by_tier(
+                AccessStream(name="s", region=region, threads=1,
+                             weights=weights), 0.0)
+            assert len(manager._split_cache) <= _SPLIT_CACHE_LIMIT
 
 
 class TestServices:

@@ -153,18 +153,23 @@ class _FakeRegion:
         self.page_size = page_size
         self.size = n_pages * page_size
         self.tier = np.full(n_pages, tier, dtype=np.int8)
+        self.tier_version = 0  # bumped after every tier write, as Region's
+
+
+def _compiled_model() -> TpccAccessModel:
+    storage = TpccStorage(SCALE)
+    rng = np.random.default_rng(9)
+    TpccLoader(storage, rng).load()
+    model = TpccAccessModel(storage, TpccEngine(storage, rng),
+                            profile_txns=200)
+    model.compile()
+    return model
 
 
 class TestAccessModel:
     @pytest.fixture(scope="class")
     def model(self):
-        storage = TpccStorage(SCALE)
-        rng = np.random.default_rng(9)
-        TpccLoader(storage, rng).load()
-        model = TpccAccessModel(storage, TpccEngine(storage, rng),
-                                profile_txns=200)
-        model.compile()
-        return model
+        return _compiled_model()
 
     def test_profile_shape(self, model):
         p = model.profile
@@ -198,3 +203,61 @@ class TestAccessModel:
         assert lat_slow[99] > lat_fast[99]
         assert lat_slow[50] > lat_fast[50]
         assert T_NVM_READ > T_DRAM_READ  # the constants the model prices
+
+    @pytest.mark.parametrize("kwargs", [{"profile_txns": 0},
+                                        {"keep_templates": 0}])
+    def test_rejects_empty_profile(self, storage, kwargs):
+        engine = TpccEngine(storage, np.random.default_rng(1))
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
+            TpccAccessModel(storage, engine, **kwargs)
+
+
+class TestTemplatePricingMemo:
+    """The compiled templates and the per-template cost memo are exact."""
+
+    KW = dict(cpu_ns_per_tx=14_000.0, access_overhead_ns=35.0, mlp=2.0)
+
+    @staticmethod
+    def _regions():
+        from repro.mem.page import Tier
+
+        rng = np.random.default_rng(5)
+        heap = _FakeRegion(64, 2 * 1024 * 1024, Tier.DRAM)
+        index = _FakeRegion(16, 2 * 1024 * 1024, Tier.DRAM)
+        for region in (heap, index):
+            region.tier[rng.random(region.n_pages) < 0.5] = Tier.NVM
+            region.tier_version += 1
+        return heap, index
+
+    def _latency(self, model, heap, index, seed=3):
+        return model.txn_latency_percentiles(
+            heap, index, np.random.default_rng(seed), **self.KW)
+
+    def test_warm_cache_matches_fresh_model(self):
+        from repro.mem.page import Tier
+
+        warm = _compiled_model()
+        heap, index = self._regions()
+        self._latency(warm, heap, index, seed=1)  # fill the memos
+        assert self._latency(warm, heap, index) == self._latency(
+            _compiled_model(), heap, index)
+        # A tier write with its version bump must invalidate the costs.
+        before = self._latency(warm, heap, index)
+        heap.tier[:] = Tier.NVM
+        index.tier[:] = Tier.NVM
+        heap.tier_version += 1
+        index.tier_version += 1
+        after = self._latency(warm, heap, index)
+        assert after == self._latency(_compiled_model(), heap, index)
+        assert after[50] > before[50]
+
+    def test_template_costs_match_price_txn(self):
+        model = _compiled_model()
+        heap, index = self._regions()
+        self._latency(model, heap, index)
+        costs = model._template_costs(
+            heap, index, self.KW["cpu_ns_per_tx"],
+            self.KW["access_overhead_ns"], self.KW["mlp"])
+        for cost, (_, touches) in zip(costs, model.templates):
+            assert float(cost) == model.price_txn(touches, heap, index,
+                                                  **self.KW)

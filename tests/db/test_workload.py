@@ -119,3 +119,20 @@ def test_determinism_same_seed_same_throughput():
     engine_b, workload_b = run_workload("bufferpool", duration=2.0)
     assert workload_a.throughput(engine_a.clock.now) == pytest.approx(
         workload_b.throughput(engine_b.clock.now))
+
+
+@pytest.mark.parametrize("field", ["profile_txns", "latency_samples"])
+def test_config_rejects_zero_counts(field):
+    with pytest.raises(ValueError, match=field):
+        tiny_config(**{field: 0})
+
+
+def test_streams_built_once():
+    machine = tiny_machine()
+    workload = TpccBufferWorkload(tiny_config(), warmup=0.0)
+    Engine(machine, make_manager("hemem"), workload,
+           EngineConfig(tick=0.01, seed=7))
+    first = workload.access_mix(0.0, 0.01)
+    second = workload.access_mix(0.01, 0.01)
+    assert [s.name for s in first] == ["tpcc_heap", "tpcc_index"]
+    assert all(a is b for a, b in zip(first, second))

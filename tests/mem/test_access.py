@@ -45,6 +45,19 @@ class TestAccessStream:
                               write_weights=ww)
         assert stream.store_weights()[0] == 1.0
 
+    def test_weights_are_read_only(self, region):
+        """Memos key on the weights' identity: in-place edits must raise."""
+        ww = np.full(8, 1.0 / 8)  # already normalised: kept, not copied
+        stream = AccessStream(name="s", region=region, threads=1,
+                              weights=np.ones(8), write_weights=ww)
+        assert stream.write_weights is ww
+        with pytest.raises(ValueError, match="read-only"):
+            stream.weights[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            stream.write_weights[0] = 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            ww *= 2.0
+
     def test_validation(self, region):
         with pytest.raises(ValueError):
             AccessStream(name="s", region=region, threads=-1)

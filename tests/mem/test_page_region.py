@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.mem.page import BASE_PAGE, FrameAllocator, GIGA_PAGE, HUGE_PAGE, Tier
-from repro.mem.region import Region, RegionKind
+from repro.mem.region import _DOT_MEMO_LIMIT, Region, RegionKind
 from repro.sim.units import GB, MB
 
 
@@ -76,6 +76,35 @@ class TestRegion:
         weights[0] = 0.75
         weights[1] = 0.25
         assert region.dram_fraction(weights) == pytest.approx(0.75)
+
+    def test_dram_fraction_memo_interleaved_weights(self):
+        """Alternating read and write distributions (one stream's loads
+        and stores) each keep their memo entry, match ``np.dot`` bit for
+        bit, and are invalidated by a ``tier_version`` bump."""
+        region = self.make()
+        rng = np.random.default_rng(4)
+        reads = rng.random(8)
+        reads /= reads.sum()
+        writes = rng.random(8)
+        writes /= writes.sum()
+        region.tier[:3] = Tier.NVM
+        region.tier_version += 1
+        for _ in range(2):
+            mask = (region.tier == Tier.DRAM).astype(np.float64)
+            for _ in range(3):
+                assert region.dram_fraction(reads) == float(np.dot(reads, mask))
+                assert region.dram_fraction(writes) == float(np.dot(writes, mask))
+            assert len(region._dot_memo) == 2
+            region.tier[5] = Tier.NVM
+            region.tier[0] = Tier.DRAM
+            region.tier_version += 1
+
+    def test_dram_fraction_memo_bounded(self):
+        region = self.make()
+        arrays = [np.full(8, 1.0 / 8) for _ in range(3 * _DOT_MEMO_LIMIT)]
+        for weights in arrays:
+            assert region.dram_fraction(weights) == 1.0
+            assert len(region._dot_memo) <= _DOT_MEMO_LIMIT
 
     def test_bytes_in_tier(self):
         region = self.make()

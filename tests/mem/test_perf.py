@@ -129,6 +129,49 @@ class TestResolve:
             PerfModel({Tier.DRAM: machine.dram})
 
 
+class TestWholeTickMemo:
+    """The multi-stream whole-tick memo returns exactly what a fresh model
+    computes, and stays out of the way when factors or reservations apply."""
+
+    @staticmethod
+    def tick():
+        streams = [make_stream(name="heap", op_size=256, writes_per_op=0.4),
+                   make_stream(name="index", op_size=64, writes_per_op=0.1)]
+        return streams, [TierSplit(0.6, 0.3), TierSplit(0.9, 0.8)]
+
+    def test_hit_matches_fresh_model(self, machine, perf):
+        streams, splits = self.tick()
+        first = perf.resolve(streams, splits, 0.9, 0.01, {})
+        again = perf.resolve(streams, splits, 0.9, 0.01, {})
+        assert all(a is b for a, b in zip(again, first))  # served by the memo
+        assert again is not first
+        fresh = PerfModel(machine.devices).resolve(streams, splits, 0.9, 0.01, {})
+        assert again == fresh
+
+    def test_new_speed_factor_misses(self, machine, perf):
+        streams, splits = self.tick()
+        perf.resolve(streams, splits, 0.9, 0.01, {})
+        slower = perf.resolve(streams, splits, 0.5, 0.01, {})
+        assert slower == PerfModel(machine.devices).resolve(
+            streams, splits, 0.5, 0.01, {})
+
+    @pytest.mark.parametrize("extra", [
+        {"factors": [0.5, 1.0]},
+        {"reserved_bw": {(Tier.NVM, WRITE): gbps(1.5)}},
+    ])
+    def test_bypassed_with_factors_or_reservation(self, machine, perf, extra):
+        streams, splits = self.tick()
+        plain = perf.resolve(streams, splits, 1.0, 0.01, {})
+        slot = perf._multi_memo
+        reserved = extra.get("reserved_bw", {})
+        factors = extra.get("factors")
+        got = perf.resolve(streams, splits, 1.0, 0.01, reserved, factors=factors)
+        assert perf._multi_memo is slot  # neither read nor written
+        assert got == PerfModel(machine.devices).resolve(
+            streams, splits, 1.0, 0.01, reserved, factors=factors)
+        assert got[0].ops < plain[0].ops
+
+
 class TestPaperShapes:
     def test_dram_vs_nvm_gups_ratio(self, perf):
         """All-DRAM GUPS should be roughly 5-15x all-NVM GUPS."""
