@@ -16,7 +16,7 @@ integer operations per activation.
 from __future__ import annotations
 
 from repro.colo.policies import SharingPolicy, TenantShare
-from repro.core.policy import pick_demotion_victim
+from repro.core.placement import pick_demotion_victim
 from repro.mem.page import Tier
 from repro.obs.events import QuotaUpdated, TenantEvicted
 from repro.sim.service import Service

@@ -63,7 +63,7 @@ class PlacementPolicy:
     Lifecycle: constructed with the owning (attached) manager, ``bind()``
     is called once before the first pass, then ``run_pass(now)`` fires at
     the policy-thread cadence and returns ``(promoted, demoted)`` counts
-    for the ``PolicyPass`` trace event.
+    for the ``PolicyPass`` trace event (emitted only when one is nonzero).
     """
 
     #: registry key / trace label
@@ -91,11 +91,39 @@ class HeMemPolicy(PlacementPolicy):
     The migration *submissions* are factored into ``_submit_promotion`` /
     ``_submit_demotion`` / ``_swap_room`` so subclasses (Nomad) can change
     *how* a page moves without touching the victim/ordering logic.
+
+    ``run_pass`` returns ``(0, 0)`` at once when there is no NVM-hot page
+    and DRAM free is at or above the watermark.  A subclass whose
+    ``_promote`` can act (or change state) without an NVM-hot page must
+    call ``_full_pass`` instead, as :class:`LearnedPolicy` does.
     """
 
     name = "hemem"
 
+    def bind(self) -> None:
+        # The tracker's lists and the manager's DAX files live as long as
+        # the manager: look them up once, not on every pass.
+        manager = self.manager
+        tracker = manager.tracker
+        self._nvm_hot = tracker.list_for(Tier.NVM, hot=True)
+        self._nvm_cold = tracker.list_for(Tier.NVM, hot=False)
+        self._dram_hot = tracker.list_for(Tier.DRAM, hot=True)
+        self._dram_cold = tracker.list_for(Tier.DRAM, hot=False)
+        self._dram_dax = manager.dax[Tier.DRAM]
+        self._nvm_dax = manager.dax[Tier.NVM]
+
     def run_pass(self, now: float) -> Tuple[int, int]:
+        # No NVM-hot page and DRAM free at or above the watermark: the
+        # promote loop would not start and the watermark loop would not
+        # iterate, so the pass provably does nothing.
+        if (
+            not self._nvm_hot
+            and self._dram_dax.free_bytes >= self.manager.config.dram_free_watermark
+        ):
+            return 0, 0
+        return self._full_pass(now)
+
+    def _full_pass(self, now: float) -> Tuple[int, int]:
         promoted, swap_demoted = self._promote(now)
         demoted = swap_demoted + self._enforce_watermark(now)
         return promoted, demoted
@@ -130,10 +158,10 @@ class HeMemPolicy(PlacementPolicy):
         tracker = manager.tracker
         migrator = manager.migrator
         store = tracker.store
-        nvm_hot = tracker.list_for(Tier.NVM, hot=True)
-        dram_cold = tracker.list_for(Tier.DRAM, hot=False)
-        dram_dax = manager.dax[Tier.DRAM]
-        nvm_dax = manager.dax[Tier.NVM]
+        nvm_hot = self._nvm_hot
+        dram_cold = self._dram_cold
+        dram_dax = self._dram_dax
+        nvm_dax = self._nvm_dax
         promoted = 0
         demoted = 0
         while nvm_hot and migrator.queued_bytes < config.migration_queue_limit:
@@ -170,9 +198,9 @@ class HeMemPolicy(PlacementPolicy):
         config = manager.config
         tracker = manager.tracker
         migrator = manager.migrator
-        dram_dax = manager.dax[Tier.DRAM]
-        dram_cold = tracker.list_for(Tier.DRAM, hot=False)
-        dram_hot = tracker.list_for(Tier.DRAM, hot=True)
+        dram_dax = self._dram_dax
+        dram_cold = self._dram_cold
+        dram_hot = self._dram_hot
         count = 0
         while (
             dram_dax.free_bytes < config.dram_free_watermark
@@ -215,6 +243,7 @@ class NomadPolicy(HeMemPolicy):
     name = "nomad"
 
     def bind(self) -> None:
+        super().bind()
         manager = self.manager
         manager.tracker.enable_shadow_tracking()
         page_size = manager.machine.spec.page_size
@@ -223,6 +252,8 @@ class NomadPolicy(HeMemPolicy):
         )
 
     def run_pass(self, now: float) -> Tuple[int, int]:
+        # Shadow reclaim keeps its own trigger (the NVM reserve), so it
+        # runs before, and regardless of, HeMem's no-op test.
         self._reclaim_pressure(now)
         return super().run_pass(now)
 
@@ -230,7 +261,7 @@ class NomadPolicy(HeMemPolicy):
         """Keep a reserve of free NVM pages clear of shadows, so fresh
         allocations and demotions never fail just because shadows piled
         up."""
-        deficit = self._reserve_pages - self.manager.dax[Tier.NVM].free_pages
+        deficit = self._reserve_pages - self._nvm_dax.free_pages
         if deficit > 0:
             self.manager.migrator.reclaim_shadows(
                 deficit, now, reason="nvm-pressure"
@@ -252,7 +283,7 @@ class NomadPolicy(HeMemPolicy):
         # reclaim one and retry once.
         if migrator.migrate(pid, Tier.NVM, now, reason=reason):
             return True
-        if manager.dax[Tier.NVM].free_pages == 0:
+        if self._nvm_dax.free_pages == 0:
             if migrator.reclaim_shadows(1, now, reason="demote-room"):
                 return migrator.migrate(pid, Tier.NVM, now, reason=reason)
         return False
@@ -396,8 +427,10 @@ class LearnedPolicy(HeMemPolicy):
 
     # -- passes ----------------------------------------------------------------
     def run_pass(self, now: float) -> Tuple[int, int]:
+        # Never skipped: the NVM-cold scan folds EWMA state every pass,
+        # even with no NVM-hot page and DRAM above the watermark.
         self._pass_no += 1
-        return super().run_pass(now)
+        return self._full_pass(now)
 
     def _promote(self, now: float) -> Tuple[int, int]:
         manager = self.manager
@@ -405,11 +438,11 @@ class LearnedPolicy(HeMemPolicy):
         tracker = manager.tracker
         migrator = manager.migrator
         store = tracker.store
-        nvm_hot = tracker.list_for(Tier.NVM, hot=True)
-        nvm_cold = tracker.list_for(Tier.NVM, hot=False)
-        dram_cold = tracker.list_for(Tier.DRAM, hot=False)
-        dram_dax = manager.dax[Tier.DRAM]
-        nvm_dax = manager.dax[Tier.NVM]
+        nvm_hot = self._nvm_hot
+        nvm_cold = self._nvm_cold
+        dram_cold = self._dram_cold
+        dram_dax = self._dram_dax
+        nvm_dax = self._nvm_dax
 
         candidates: List[Tuple[float, int]] = []
         for fifo, cap in ((nvm_hot, self.MAX_HOT_SCAN),
@@ -480,11 +513,10 @@ class LearnedPolicy(HeMemPolicy):
     def _enforce_watermark(self, now: float) -> int:
         manager = self.manager
         config = manager.config
-        tracker = manager.tracker
         migrator = manager.migrator
-        dram_dax = manager.dax[Tier.DRAM]
-        dram_cold = tracker.list_for(Tier.DRAM, hot=False)
-        dram_hot = tracker.list_for(Tier.DRAM, hot=True)
+        dram_dax = self._dram_dax
+        dram_cold = self._dram_cold
+        dram_hot = self._dram_hot
         count = 0
         while (
             dram_dax.free_bytes < config.dram_free_watermark

@@ -21,15 +21,11 @@ backlog never exceeds ``migration_queue_limit`` bytes.
 
 from __future__ import annotations
 
-from repro.core.placement import (
-    PlacementPolicy,
-    make_policy,
-    pick_demotion_victim,
-)
+from repro.core.placement import PlacementPolicy, make_policy
 from repro.obs.events import PolicyPass, PolicySelected
 from repro.sim.service import Service
 
-__all__ = ["PolicyService", "pick_demotion_victim"]
+__all__ = ["PolicyService"]
 
 
 class PolicyService(Service):
@@ -69,15 +65,3 @@ class PolicyService(Service):
             if tracer is not None and (promoted or demoted):
                 tracer.emit(PolicyPass(now, promoted, demoted))
         return dt
-
-    # -- compat shims ----------------------------------------------------------
-    # Pre-zoo revisions exposed the decision loop as methods right here;
-    # tests and examples that drive single passes keep working through the
-    # bound policy (HeMem-family policies only).
-    def _promote(self, now: float) -> tuple:
-        return self.policy._promote(now)
-
-    def _enforce_watermark(self, now: float) -> int:
-        return self.policy._enforce_watermark(now)
-
-    _pick_demotion_victim = staticmethod(pick_demotion_victim)

@@ -62,10 +62,17 @@ class AccessSource(ABC):
 # ---------------------------------------------------------------------------
 
 class PebsSource(AccessSource):
-    """Feeds the machine's PEBS unit and drains it on a dedicated service."""
+    """Feeds the manager's PEBS unit and drains it on a dedicated service.
+
+    Colocated tenants sample through their own PEBS unit (scoped stats,
+    tenant-named RNG); single managers use the machine's.  The unit is
+    resolved once, when the manager attaches and builds its source.
+    """
 
     def __init__(self, manager, rng: np.random.Generator):
         super().__init__(manager)
+        pebs = getattr(manager, "pebs_unit", None)
+        self.pebs = pebs if pebs is not None else manager.machine.pebs
         self._sampler = WeightedSampler(rng)
         self._drain_service = _PebsDrainService(self)
 
@@ -76,38 +83,43 @@ class PebsSource(AccessSource):
         region = stream.region
         if not region.managed:
             return
-        # Colocated tenants sample through their own PEBS unit (scoped
-        # stats, tenant-named RNG); single managers use the machine's.
-        pebs = getattr(self.manager, "pebs_unit", None)
-        if pebs is None:
-            pebs = self.manager.machine.pebs
+        pebs = self.pebs
         loads = result.ops * stream.reads_per_op
         stores = result.ops * stream.writes_per_op
         dram_loads = loads * split.dram_read_frac
         nvm_loads = loads - dram_loads
+        # Most stream-ticks only add to a carry that stays below the
+        # period: that is all ``feed`` would do for them, and it draws no
+        # randomness, so do it here and call ``feed`` only when a record
+        # is due (``feed`` repeats the same addition, bit for bit).
+        carry = pebs.carry
+        period = pebs.period
         if dram_loads > 0:
-            pebs.feed(
-                _DRAM_READ,
-                region,
-                dram_loads,
-                lambda n: self._tier_pages(stream, _DRAM, n),
-            )
+            total = carry[_DRAM_READ] + dram_loads
+            if total < period:
+                carry[_DRAM_READ] = total
+            else:
+                pebs.feed(_DRAM_READ, region, dram_loads, self._dram_pages, stream)
         if nvm_loads > 0:
-            pebs.feed(
-                _NVM_READ,
-                region,
-                nvm_loads,
-                lambda n: self._tier_pages(stream, _NVM, n),
-            )
+            total = carry[_NVM_READ] + nvm_loads
+            if total < period:
+                carry[_NVM_READ] = total
+            else:
+                pebs.feed(_NVM_READ, region, nvm_loads, self._nvm_pages, stream)
         if stores > 0:
-            pebs.feed(
-                _STORE,
-                region,
-                stores,
-                lambda n: self._store_pages(stream, n),
-            )
+            total = carry[_STORE] + stores
+            if total < period:
+                carry[_STORE] = total
+            else:
+                pebs.feed(_STORE, region, stores, self._store_pages, stream)
 
-    # -- samplers ------------------------------------------------------------
+    # -- samplers: ``(stream, n) -> pages`` ------------------------------------
+    def _dram_pages(self, stream: AccessStream, n: int) -> List[int]:
+        return self._tier_pages(stream, _DRAM, n)
+
+    def _nvm_pages(self, stream: AccessStream, n: int) -> List[int]:
+        return self._tier_pages(stream, _NVM, n)
+
     def _tier_pages(self, stream: AccessStream, tier: Tier, n: int) -> List[int]:
         """Draw up to ``n`` load pages conditioned on the serving tier.
 
@@ -154,21 +166,23 @@ class _PebsDrainService(Service):
 
     def __init__(self, source: PebsSource):
         super().__init__("pebs_drain", period=0.0)
-        self.source = source
+        self.pebs = source.pebs
+        self.tracker = source.manager.tracker
+        # One thread can process at most dt / cost-per-record records.
+        self._record_s = self.pebs.spec.drain_ns_per_record * 1e-9
 
     def run(self, engine, now, dt) -> float:
-        pebs = getattr(self.source.manager, "pebs_unit", None)
-        if pebs is None:
-            pebs = engine.machine.pebs
-        spec = pebs.spec
-        # One thread can process at most dt / cost-per-record records.
-        budget = int(dt / (spec.drain_ns_per_record * 1e-9))
-        batch = pebs.drain(budget)
+        pebs = self.pebs
+        # Nothing buffered: draining and applying an empty batch change
+        # nothing and emit no event; the thread still spins all tick.
+        if not pebs.n_buffered:
+            return dt
+        batch = pebs.drain(int(dt / self._record_s))
         drained = len(batch)
         applied = min(drained, self.APPLY_CAP_PER_TICK)
         # Batched apply: one tracker call per tick, with trace events
         # accumulated and flushed in order (bit-identical goldens).
-        self.source.manager.tracker.record_samples(batch.head(applied))
+        self.tracker.record_samples(batch.head(applied))
         tracer = engine.machine.tracer
         if tracer is not None and drained:
             tracer.emit(PebsDrain(now, drained, applied))

@@ -11,7 +11,10 @@ The unit is fed aggregate event counts per tick (with a page sampler that
 draws which pages the sampled instructions touched) and exposes a drain
 interface for HeMem's PEBS thread.  When the buffer fills because the drain
 thread lags, new records are *dropped* — the effect behind the high-variance
-left side of the paper's Fig 10.
+left side of the paper's Fig 10.  Most feeds stay below the sample period
+and only add to a per-kind carry; ``carry`` and ``period`` are public so
+the per-stream feed path can do that arithmetic inline and call
+:meth:`PebsUnit.feed` only when a record is due.
 
 The buffer is columnar: one ``feed`` call's records all share an event
 kind and a region, so they are stored as one ``(kind, region, pages)``
@@ -41,9 +44,10 @@ class PebsEventKind(Enum):
     NVM_READ = "nvm_read"
     STORE = "store"
 
-    @property
-    def is_store(self) -> bool:
-        return self is PebsEventKind.STORE
+    # Members are singletons: hash by identity in C instead of through
+    # ``Enum.__hash__`` (Python code hashing the name) on every carry
+    # lookup.
+    __hash__ = object.__hash__
 
 
 #: ``(kind, region, pages)``: consecutive records of one kind and region
@@ -111,6 +115,10 @@ class PebsSpec:
             raise ValueError(f"sample period must be positive: {self.sample_period}")
         if self.buffer_capacity <= 0:
             raise ValueError(f"buffer capacity must be positive: {self.buffer_capacity}")
+        if not self.drain_ns_per_record > 0:
+            raise ValueError(
+                f"drain cost per record must be positive: {self.drain_ns_per_record}"
+            )
 
 
 class PebsUnit:
@@ -130,11 +138,14 @@ class PebsUnit:
         self.period_scale = period_scale
         self._rng = rng
         self._chunks: Deque[Chunk] = deque()
-        #: records buffered across all chunks
-        self._n_buffered = 0
-        self._carry = {kind: 0.0 for kind in PebsEventKind}
-        # hoisted constants for the per-tick feed() fast path
-        self._period = spec.sample_period * period_scale
+        #: records buffered across all chunks (read-only outside the unit)
+        self.n_buffered = 0
+        #: events counted towards each kind's next record; a caller may add
+        #: to it directly while the sum stays below ``period`` (exactly
+        #: what :meth:`feed` does then) and must call ``feed`` otherwise
+        self.carry = {kind: 0.0 for kind in PebsEventKind}
+        #: events per record, after the capacity-scale correction
+        self.period = spec.sample_period * period_scale
         self._capacity = spec.buffer_capacity
         self._sampled = stats.counter("pebs.records")
         self._dropped = stats.counter("pebs.dropped")
@@ -142,7 +153,7 @@ class PebsUnit:
         self.tracer = None
 
     def __len__(self) -> int:
-        return self._n_buffered
+        return self.n_buffered
 
     def set_capacity_factor(self, factor: float) -> None:
         """Fault-injection hook: shrink/restore the effective ring buffer.
@@ -178,27 +189,30 @@ class PebsUnit:
         kind: PebsEventKind,
         region: Region,
         n_events: float,
-        sampler: Callable[[int], List[int]],
+        sampler: Callable[[object, int], List[int]],
+        stream: object = None,
     ) -> int:
         """Account ``n_events`` occurrences; emit every period-th as a record.
 
-        ``sampler(n)`` must return the page indices (in ``region``) of up
-        to ``n`` records drawn from the access distribution that generated
-        the events.  Returns the number of records actually buffered
-        (excludes drops).
+        ``sampler(stream, n)`` must return the page indices (in ``region``)
+        of up to ``n`` records drawn from the access distribution
+        (``stream``) that generated the events; it is called only when a
+        record is due and the buffer has room.  Returns the number of records actually
+        buffered (excludes drops).
         """
         if n_events < 0:
             raise ValueError(f"negative event count: {n_events}")
-        period = self._period
-        carry = self._carry[kind] + n_events
-        n_samples = int(carry // period)
-        if n_samples <= 0:
-            self._carry[kind] = carry
+        period = self.period
+        carry = self.carry[kind] + n_events
+        # ``carry // period <= 0`` exactly when ``carry < period``.
+        if carry < period:
+            self.carry[kind] = carry
             return 0
-        self._carry[kind] = carry - n_samples * period
+        n_samples = int(carry // period)
+        self.carry[kind] = carry - n_samples * period
         # Records beyond the buffer's free space are dropped by the
         # hardware; don't bother materialising them.
-        room = self._capacity - self._n_buffered
+        room = self._capacity - self.n_buffered
         n_emit = min(n_samples, max(room, 0))
         if n_emit < n_samples:
             self._dropped.add(n_samples - n_emit)
@@ -207,11 +221,11 @@ class PebsUnit:
                 tracer.emit(PebsDrop(tracer.now, kind.value, n_samples - n_emit))
         if n_emit == 0:
             return 0
-        pages = sampler(n_emit)
+        pages = sampler(stream, n_emit)
         n = len(pages)
         if n:
             self._chunks.append((kind, region, pages))
-            self._n_buffered += n
+            self.n_buffered += n
         self._sampled.add(n)
         return n
 
@@ -220,14 +234,10 @@ class PebsUnit:
         if max_records < 0:
             raise ValueError(f"negative drain budget: {max_records}")
         chunks = self._chunks
-        if max_records >= self._n_buffered:
-            batch = PebsBatch(list(chunks), self._n_buffered)
+        if max_records >= self.n_buffered:
+            batch = PebsBatch(list(chunks), self.n_buffered)
             chunks.clear()
-            self._n_buffered = 0
+            self.n_buffered = 0
             return batch
-        self._n_buffered -= max_records
+        self.n_buffered -= max_records
         return PebsBatch(_take(chunks, max_records), max_records)
-
-    def drain_cost(self, n_records: int) -> float:
-        """Core-seconds the PEBS thread pays to process ``n_records``."""
-        return n_records * self.spec.drain_ns_per_record * 1e-9

@@ -36,7 +36,6 @@ and tick length and no bandwidth is reserved or partitioned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.mem.access import AccessStream, StreamResult, TierSplit
@@ -63,19 +62,6 @@ _N_CHANNELS = len(_CHANNELS)
 
 #: Bound on the (shape, split) memo; evicted wholesale when exceeded.
 _MEMO_LIMIT = 1 << 16
-
-
-@dataclass
-class _Demand:
-    """Accumulated demand on one (tier, op) channel (kept for API compat)."""
-
-    total: float = 0.0  # media bytes/s
-    weighted_cap: float = 0.0  # sum(demand * capacity) for pattern weighting
-
-    def capacity(self) -> float:
-        if self.total <= 0:
-            return float("inf")
-        return self.weighted_cap / self.total
 
 
 class _StreamShape:
@@ -329,15 +315,6 @@ class PerfModel:
         long as from DRAM even though the latencies differ by only ~2x.
         """
         return self._resolve_stream(stream, split)[0]
-
-    def _demand_bytes_per_op(
-        self, stream: AccessStream, split: TierSplit
-    ) -> Dict[Tuple[Tier, str], Tuple[float, str]]:
-        """Media bytes per op on each (tier, op) channel, with its pattern."""
-        _op_t, entries = self._resolve_stream(stream, split)
-        return {
-            _CHANNELS[chan]: (media, pat) for chan, media, _cap, pat in entries
-        }
 
     # -- resolution ----------------------------------------------------------
     def resolve(

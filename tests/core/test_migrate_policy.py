@@ -156,7 +156,7 @@ class TestPolicyThread:
         assert manager.dram_free_bytes() == manager.config.dram_free_watermark
         nvm_page = int(region.pages_in(Tier.NVM)[0])
         sample(manager.tracker, region, nvm_page, is_store=True, times=4)
-        policy = PolicyService(manager)
+        policy = PolicyService(manager).policy
         promoted, demoted = policy._promote(0.0)
         assert promoted == 1
         assert demoted == 1
@@ -176,7 +176,7 @@ class TestPolicyThread:
         nvm_dax = manager.dax[Tier.NVM]
         grabbed = [nvm_dax.alloc_page() for _ in range(nvm_dax.free_pages)]
         assert nvm_dax.free_pages == 0
-        policy = PolicyService(manager)
+        policy = PolicyService(manager).policy
         promoted, demoted = policy._promote(0.0)
         assert (promoted, demoted) == (0, 0)
         assert not manager.migrator.busy  # nothing was half-submitted

@@ -393,7 +393,7 @@ class TestBatchedSamples:
 
         unit = PebsUnit(PebsSpec(sample_period=1), stats, make_rng(1, "t"))
         for kind, reg, pages in mixed_chunks(region):
-            unit.feed(kind, reg, len(pages), lambda n, pages=pages: pages)
+            unit.feed(kind, reg, len(pages), lambda _stream, n, pages=pages: pages)
         other = HotColdTracker(HeMemConfig(), stats.scoped("other"))
         other.record_samples(mixed_chunks(region))
         tracker.record_samples(unit.drain(150))
