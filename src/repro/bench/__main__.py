@@ -31,10 +31,11 @@ and writes the collector-merged fleet-wide series to ``FILE`` at the end;
 ``--telemetry-port N`` additionally serves the merged view as Prometheus
 text format at ``/metrics`` while the run progresses, and
 ``python -m repro.bench watch FILE.live`` renders a live terminal
-dashboard over the same channels.  ``--profile-out FILE`` collects the
-structured per-subsystem profile (engine tick sections, pagestore
-drain/cool/classify phases) of every run into one merged JSON with
-collapsed-stack lines for flamegraph tooling.
+dashboard over the same channels.  ``--profile-out FILE`` runs every
+case under the per-layer span wrappers of :mod:`repro.obs.spans` and
+merges their span trees into one JSON (self seconds and calls per
+layer, the wrappers' estimated overhead) with collapsed-stack lines for
+flamegraph tooling.
 
 ``--update-golden`` refreshes the committed golden tables
 (``tests/golden/<experiment>.csv``) that the regression suite compares
@@ -146,10 +147,10 @@ def main(argv=None) -> int:
                              "format at http://localhost:PORT/metrics "
                              "while the run progresses (0 = ephemeral)")
     parser.add_argument("--profile-out", default=None, metavar="FILE",
-                        help="collect structured per-subsystem profiling "
-                             "(engine tick sections + pagestore phases) "
-                             "from every run and write one merged JSON "
-                             "with collapsed-stack lines to FILE")
+                        help="collect per-layer span profiles (self "
+                             "seconds and calls per layer) from every run "
+                             "and write one merged JSON with "
+                             "collapsed-stack lines to FILE")
     parser.add_argument("--update-golden", action="store_true",
                         help="write each experiment's table to the golden "
                              "directory instead of asserting against it")

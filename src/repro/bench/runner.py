@@ -39,7 +39,9 @@ import gc
 import hashlib
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
@@ -212,27 +214,33 @@ def _execute_case(fn: Callable, scenario: Scenario, kwargs: Dict[str, Any],
     rotating on-disk segments (O(window) memory); the trace payload is
     then a segment manifest dict instead of an event list.
     ``telemetry_path`` opens a live telemetry session spooling
-    window snapshots (and, with ``profile=True``, structured profiling
-    records) to that JSONL channel — again per worker process, so every
+    window snapshots (and, with ``profile=True``, one span-tree profiling
+    row) to that JSONL channel — again per worker process, so every
     pool worker writes its own channel for the parent-side collector.
+    With ``REPRO_PROFILE`` set the case runs under the span wrappers of
+    :mod:`repro.obs.spans` and prints a ``[profile]`` report to stderr.
     """
-    if telemetry_path is None and not trace and not metrics:
-        return fn(scenario, **kwargs), None
-    from repro.obs.runtime import capture
+    from repro.obs.spans import Profile
+    from repro.sim.profiling import profiler_enabled
 
-    if telemetry_path is not None:
-        from repro.obs import telemetry as _telemetry
+    scope = Profile() if profiler_enabled() else None
+    cap = None
+    with scope or nullcontext(), ExitStack() as stack:
+        if telemetry_path is not None:
+            from repro.obs import telemetry as _telemetry
 
-        sink = _telemetry.JsonlSink(telemetry_path, labels=telemetry_labels)
-        with _telemetry.session(sink, profile=profile):
-            with capture(trace=trace, metrics=metrics,
-                         stream_dir=stream_dir) as cap:
-                result = fn(scenario, **kwargs)
-        return result, cap.payloads()
+            sink = _telemetry.JsonlSink(telemetry_path, labels=telemetry_labels)
+            stack.enter_context(_telemetry.session(sink, profile=profile))
+        if telemetry_path is not None or trace or metrics:
+            from repro.obs.runtime import capture
 
-    with capture(trace=trace, metrics=metrics, stream_dir=stream_dir) as cap:
+            cap = stack.enter_context(
+                capture(trace=trace, metrics=metrics, stream_dir=stream_dir))
         result = fn(scenario, **kwargs)
-    return result, cap.payloads()
+    if scope is not None:
+        label = f"{fn.__module__}.{fn.__name__} {kwargs}"
+        print(scope.report(label), file=sys.stderr)
+    return result, cap.payloads() if cap is not None else None
 
 
 def _safe_key(key: str) -> str:

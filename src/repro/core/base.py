@@ -100,11 +100,5 @@ class TieredMemoryManager(ABC):
         """Per-tick bookkeeping after all streams resolved."""
 
     # -- introspection -------------------------------------------------------------
-    def dram_bytes_used(self) -> int:
-        """Managed bytes currently placed in DRAM (for tests/benches)."""
-        return sum(
-            r.bytes_in(Tier.DRAM) for r in self.machine.regions if r.managed
-        )
-
     def describe(self) -> str:
         return self.name

@@ -165,9 +165,6 @@ class Migrator:
         self.mover = mover
 
     # -- migration -------------------------------------------------------------
-    def can_reserve(self, dst: Tier) -> bool:
-        return self.dax[dst].free_pages > 0
-
     def migrate(self, pid: int, dst: Tier, now: float,
                 reason: str = "", retain_shadow: bool = False) -> bool:
         """Begin migrating page ``pid`` to ``dst``; False if no space there.

@@ -24,8 +24,7 @@ record is a one-record batch); page-table scans use
 
 from __future__ import annotations
 
-from time import perf_counter_ns
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.core.config import HeMemConfig
 from repro.core.pagestore import (
@@ -42,7 +41,6 @@ from repro.mem.page import Tier
 from repro.mem.pebs import PebsEventKind
 from repro.mem.region import Region
 from repro.obs.events import CoolingPass, PageClassified
-from repro.sim.profiling import profiling_active
 
 _STORE_KIND = PebsEventKind.STORE
 
@@ -75,14 +73,6 @@ class HotColdTracker:
         self._samples = stats.counter("tracker.samples")
         self._coolings = stats.counter("tracker.cooling_events")
         self._tracer = tracer
-        #: REPRO_PROFILE phase attribution for the batched drain loop
-        #: (ns per phase); None on the fast path, so the hot loop carries
-        #: a single ``is None`` test.
-        self.profile: Optional[Dict[str, int]] = (
-            {"drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
-             "samples": 0, "batches": 0}
-            if profiling_active() else None
-        )
         #: batched-event buffer; non-None only inside ``record_samples``,
         #: which flushes it to the tracer in one ``extend`` (same order).
         self._event_buffer = None
@@ -218,13 +208,6 @@ class HotColdTracker:
         accumulated in order and flushed to the tracer in a single
         ``extend``.
         """
-        if self.profile is None:
-            self._apply_samples(chunks)
-        else:
-            self._apply_samples_timed(chunks)
-
-    def _apply_samples(self, chunks) -> int:
-        """The :meth:`record_samples` loop; returns the records applied."""
         store = self.store
         reads = store.reads
         writes = store.writes
@@ -240,8 +223,6 @@ class HotColdTracker:
         # bound policy enabled it, so the default path's per-store cost is
         # one ``is not None`` test.
         shadow = store.shadow if self._shadow_tracking else None
-        # Looked up once per batch, after any REPRO_PROFILE lap wrappers
-        # were installed on the instance.
         cool_if_stale = self.cool_if_stale
         reclassify = self._reclassify
         tracer = self._tracer
@@ -302,54 +283,6 @@ class HotColdTracker:
             self._event_buffer = None
         if events:
             tracer.events.extend(events)
-        return n_samples
-
-    def _apply_samples_timed(self, chunks) -> None:
-        """REPRO_PROFILE: run :meth:`_apply_samples` with phase laps.
-
-        For the batch only, instance-level wrappers time lazy cooling
-        (:meth:`cool_if_stale`, including the reclassification it does)
-        and clock advances as ``cool``, and the remaining
-        :meth:`_reclassify` calls as ``classify``; ``drain`` is the
-        batch's time minus both (region binding, first-touch tracking,
-        counter increments, the no-op skip test).  A wrapped call nested
-        in another is charged to the outer one only.  Same loop, same
-        operation order, so goldens and traces stay bit-identical; the
-        timer overhead lands in the measured phases.
-        """
-        prof = self.profile
-        spent = {"cool": 0, "classify": 0}
-        depth = 0
-
-        def lap(fn, phase):
-            def timed(*args, **kwargs):
-                nonlocal depth
-                if depth:
-                    return fn(*args, **kwargs)
-                depth = 1
-                t0 = perf_counter_ns()
-                try:
-                    return fn(*args, **kwargs)
-                finally:
-                    spent[phase] += perf_counter_ns() - t0
-                    depth = 0
-
-            return timed
-
-        self.cool_if_stale = lap(self.cool_if_stale, "cool")
-        self._advance_clock = lap(self._advance_clock, "cool")
-        self._reclassify = lap(self._reclassify, "classify")
-        t0 = perf_counter_ns()
-        try:
-            n_samples = self._apply_samples(chunks)
-        finally:
-            elapsed = perf_counter_ns() - t0
-            del self.cool_if_stale, self._advance_clock, self._reclassify
-        prof["drain_ns"] += elapsed - spent["cool"] - spent["classify"]
-        prof["cool_ns"] += spent["cool"]
-        prof["classify_ns"] += spent["classify"]
-        prof["samples"] += n_samples
-        prof["batches"] += 1
 
     def record_scan_hit(self, region: Region, page: int, accessed: bool, dirty: bool) -> None:
         """Apply one page-table scan observation (HeMem-PT ablations)."""

@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.mem.page import FrameAllocator, Tier
-from repro.mem.region import Region
 
 
 class NumaNode:
@@ -70,6 +69,3 @@ class NumaTopology:
             return False
         self._by_tier[src].allocator.release(nbytes)
         return True
-
-    def region_bytes(self, region: Region, tier: Tier) -> int:
-        return region.bytes_in(tier)

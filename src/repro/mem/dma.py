@@ -81,10 +81,6 @@ class CopyEngine:
         self._queue.append(request)
         self._pending += request.remaining
 
-    def submit_batch(self, requests: List[CopyRequest]) -> None:
-        for req in requests:
-            self.submit(req)
-
     def _recompute_pending(self) -> None:
         self._pending = sum(r.remaining for r in self._queue)
 

@@ -261,11 +261,6 @@ class Machine:
     def end_tick(self, now: float, dt: float) -> None:
         """Hook for end-of-tick hardware bookkeeping (currently none)."""
 
-    # -- convenience ------------------------------------------------------------
-    @property
-    def nvm_bytes_written(self) -> float:
-        return self.nvm.bytes_written
-
     def __repr__(self) -> str:
         return (
             f"Machine(cores={self.spec.n_cores}, dram={self.spec.dram_capacity}, "

@@ -17,7 +17,7 @@ of entries and the table depth.  We model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 import numpy as np
 
@@ -98,8 +98,3 @@ class PageTable:
         if clear:
             region.clear_access_bits()
         return accessed, dirty
-
-    def scan_all(
-        self, regions: Iterable[Region], clear: bool = True
-    ) -> List[Tuple[Region, np.ndarray, np.ndarray]]:
-        return [(r, *self.scan_bits(r, clear=clear)) for r in regions]

@@ -5,7 +5,8 @@ lifecycles, PEBS sample drops, cooling passes, policy decisions, service
 scheduling — as a typed, timestamped event stream (:mod:`repro.obs.trace`)
 plus derived per-run metrics (:mod:`repro.obs.metrics`).  Both are strictly
 opt-in: with observability disabled every instrumentation site is a single
-``is None`` check, mirroring the ``REPRO_PROFILE`` tick profiler.
+``is None`` check.  :mod:`repro.obs.spans` profiles the layers with timing
+wrappers installed only while ``REPRO_PROFILE`` or ``--profile-out`` asks.
 
 Three ways in:
 

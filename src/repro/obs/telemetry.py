@@ -36,10 +36,10 @@ Pieces, bottom up:
   text-format exposition of a collected spool, and a background
   ``http.server`` thread serving it at ``/metrics`` while the run is
   still writing.
-- Profiling rows: sessions opened with ``profile=True`` also ask the
-  engine for structured :func:`~repro.sim.profiling.profile_payload`
-  records at run end; :func:`merge_profiles` folds the per-worker rows
-  into one aggregate with flamegraph-ready collapsed-stack lines.
+- Profiling rows: sessions opened with ``profile=True`` run their scope
+  under the span wrappers of :mod:`repro.obs.spans` and spool one
+  span-tree row on exit; :func:`merge_profiles` folds the per-worker
+  rows into one aggregate with flamegraph-ready collapsed-stack lines.
 
 Nothing here imports ``repro.mem``/``repro.sim`` at module level —
 ``repro.obs`` sits below both in the import graph.
@@ -53,6 +53,8 @@ import re
 import threading
 from math import inf
 from typing import Any, Dict, List, Optional, Tuple
+
+from repro.obs import spans
 
 #: default publish window (virtual seconds): every sampler publishes on
 #: this aligned grid, so sharded and unsharded runs snapshot at the same
@@ -281,8 +283,8 @@ class TelemetrySession:
         self.snapshots += 1
 
     def add_profile(self, payload: dict) -> None:
-        """Spool one structured profiling record (engine-run granularity)."""
-        row = {"kind": "profile", "version": 1}
+        """Spool one structured profiling record (one per session)."""
+        row = {"kind": "profile", "version": 2}
         row.update(payload)
         self.sink.emit(row)
         self.profiles += 1
@@ -292,6 +294,7 @@ class TelemetrySession:
         global _session
         if _session is not None:
             raise RuntimeError("a telemetry session is already installed")
+        self._profile = spans.Profile().__enter__() if self.profile else None
         _session = self
         return self
 
@@ -300,6 +303,9 @@ class TelemetrySession:
         if _session is not self:
             raise RuntimeError("telemetry sessions must unwind LIFO")
         _session = None
+        if self._profile is not None:
+            self._profile.__exit__(exc_type, exc, tb)
+            self.add_profile(self._profile.row())
         self.sink.close()
 
 
@@ -696,46 +702,14 @@ def serve_metrics(root: str, port: int = 0):
 # ---------------------------------------------------------------------------
 
 def merge_profiles(rows: List[dict]) -> dict:
-    """Fold per-worker profile rows into one aggregate document.
-
-    The output carries the raw per-worker rows, per-subsystem totals
-    (engine sections in seconds, pagestore phases in nanoseconds), and
-    collapsed-stack lines (``stack;frames value``) in microseconds,
-    ready for standard flamegraph tooling.
-    """
-    sections: Dict[str, float] = {}
-    pagestore: Dict[str, Dict[str, int]] = {}
-    ticks = 0
-    for row in rows:
-        ticks += int(row.get("ticks", 0))
-        for name, seconds in row.get("sections", {}).items():
-            sections[name] = sections.get(name, 0.0) + seconds
-        for label, phases in row.get("pagestore", {}).items():
-            into = pagestore.setdefault(label, {
-                "drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
-                "samples": 0, "batches": 0,
-            })
-            for phase, value in phases.items():
-                into[phase] = into.get(phase, 0) + int(value)
-    collapsed = [
-        f"engine;{name} {int(seconds * 1e6)}"
-        for name, seconds in sorted(sections.items())
-        if seconds > 0
-    ]
-    for label in sorted(pagestore):
-        for phase in ("drain", "cool", "classify"):
-            ns = pagestore[label][f"{phase}_ns"]
-            if ns > 0:
-                collapsed.append(f"pagestore;{label};{phase} {ns // 1000}")
+    """Fold per-worker span-tree rows into one document: the rows, their
+    :func:`repro.obs.spans.summarize` aggregate, and collapsed-stack
+    lines (``;``-joined span path, self microseconds) for flamegraphs."""
+    aggregate, collapsed = spans.summarize(rows)
     return {
         "kind": "profile",
-        "version": 1,
+        "version": 2,
         "workers": rows,
-        "aggregate": {
-            "runs": len(rows),
-            "ticks": ticks,
-            "sections": sections,
-            "pagestore": pagestore,
-        },
+        "aggregate": aggregate,
         "collapsed": collapsed,
     }

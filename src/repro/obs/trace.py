@@ -7,8 +7,7 @@ clock) never need ``now`` threaded through their signatures.
 
 Instrumented components hold a ``tracer`` attribute that is ``None`` when
 tracing is disabled; every emit site is guarded by a single ``is None``
-check, so the fast path pays nothing (same contract as
-:mod:`repro.sim.profiling`).
+check, so the fast path pays nothing.
 """
 
 from __future__ import annotations

@@ -14,8 +14,8 @@ Per tick the engine:
 The engine knows nothing about HeMem or any specific policy; managers and
 workloads plug in through small protocols (duck-typed, documented here).
 
-Set ``REPRO_PROFILE=1`` to attribute wall time to the engine's subsystems
-(see :mod:`repro.sim.profiling`); the instrumentation is a no-op otherwise.
+The tick loop holds no timing code: :mod:`repro.obs.spans` attributes
+its time to the layers by wrapping their methods from outside.
 """
 
 from __future__ import annotations
@@ -25,12 +25,6 @@ from typing import Dict, List, Optional
 
 from repro.obs.events import ServiceRun
 from repro.sim.clock import VirtualClock
-from repro.sim.profiling import (
-    TickProfiler,
-    profile_payload,
-    profiler_enabled,
-    profiling_active,
-)
 from repro.sim.rng import make_rng
 from repro.sim.service import Service
 from repro.sim.stats import StatsRegistry
@@ -73,9 +67,6 @@ class Engine:
         self._services: Dict[Service, None] = {}
         self.rng = make_rng(self.config.seed, "engine")
         self.last_app_threads = 0.0
-        self.profiler: Optional[TickProfiler] = (
-            TickProfiler() if profiling_active() else None
-        )
         # Observability hooks (repro.obs).  Both stay None unless a capture
         # installed them on the machine before the engine was built, so the
         # per-tick guards below cost one attribute test each when disabled.
@@ -137,16 +128,6 @@ class Engine:
         result["counters"] = self.stats.counters()
         if self.stats.histograms():
             result["histograms"] = self.stats.histograms()
-        if self.profiler is not None:
-            # stderr report only under the env flag; telemetry sessions get
-            # the structured record instead of interleaved prints
-            if profiler_enabled():
-                self.profiler.emit(self)
-            from repro.obs import telemetry
-
-            session = telemetry.active()
-            if session is not None and session.profile:
-                session.add_profile(profile_payload(self))
         return result
 
     def step(self) -> None:
@@ -154,7 +135,6 @@ class Engine:
         now = self.clock.now
         dt = self.config.tick
         cpu = self.machine.cpu
-        prof = self.profiler
         tracer = self.tracer
         if tracer is not None:
             # Refresh the tick-scoped trace clock once; every emit site deep
@@ -165,11 +145,7 @@ class Engine:
 
         # 0. Hardware background progress: DMA/copy-thread migrations move
         #    first so their bandwidth and CPU consumption shape this tick.
-        if prof is not None:
-            prof.start()
         self.machine.begin_tick(now, dt)
-        if prof is not None:
-            prof.lap("movers")
 
         # 1. Background services (manager threads, scanners, copy threads).
         #    Services must not register/unregister services mid-tick.
@@ -181,8 +157,6 @@ class Engine:
                 service.mark_ran(now)
                 if tracer is not None:
                     tracer.emit(ServiceRun(now, service.name, wanted))
-        if prof is not None:
-            prof.lap("services")
 
         # 2. Application access streams for this tick.
         streams = self.workload.access_mix(now, dt)
@@ -192,8 +166,6 @@ class Engine:
             app_threads = sum(s.threads for s in streams)
         self.last_app_threads = app_threads
         speed = cpu.app_speed_factor(app_threads, dt) if app_threads else 0.0
-        if prof is not None:
-            prof.lap("access_mix")
 
         # 3. Where do accesses land?  The manager owns placement (for MM this
         #    is a cache-hit model, for the others true page placement).  The
@@ -203,14 +175,10 @@ class Engine:
         split_by_tier = self.manager.split_by_tier
         for s in streams:
             splits.append(split_by_tier(s, now))
-        if prof is not None:
-            prof.lap("split")
 
         # 4. Resolve achieved throughput against the device models, leaving
         #    room for in-flight migration traffic.
         results = self.machine.resolve(streams, splits, speed, dt)
-        if prof is not None:
-            prof.lap("resolve")
 
         # 5. Observations back to manager and workload.
         observe = self.manager.observe
@@ -218,8 +186,6 @@ class Engine:
         for stream, split, result in zip(streams, splits, results):
             observe(stream, split, result, now, dt)
             on_progress(stream, result, now, dt)
-        if prof is not None:
-            prof.lap("observe")
 
         # 6. Hardware background progress (DMA copies, etc.).
         self.machine.end_tick(now, dt)
@@ -238,8 +204,5 @@ class Engine:
         if self.metrics is not None:
             self.metrics.sample(now, dt)
         self.manager.end_tick(now, dt)
-        if prof is not None:
-            prof.lap("bookkeeping")
-            prof.tick()
 
         self.clock.advance(dt)

@@ -1,30 +1,13 @@
-"""Opt-in per-subsystem tick-time attribution.
+"""The ``REPRO_PROFILE`` switch: with it set, every bench case runs under
+the span wrappers of :mod:`repro.obs.spans` and prints a ``[profile]``
+self-time report per layer to stderr::
 
-Set ``REPRO_PROFILE=1`` in the environment and every :class:`Engine` run
-prints a breakdown of wall time per engine subsystem (movers, services,
-access-mix generation, tier splitting, performance-model resolution,
-observation feedback, bookkeeping) when it finishes::
-
-    REPRO_PROFILE=1 python -m repro.bench fig6 --preset fast
-
-The point is attribution, not micro-benchmarking: when a change regresses
-tick time, the report says *which* subsystem absorbed it.  When the flag is
-unset the engine carries a single ``is None`` check per section and no
-timer calls, so the fast path is unaffected.
+    REPRO_PROFILE=1 python -m repro.bench fig6 --preset fast --no-cache
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from time import perf_counter
-from typing import Dict
-
-#: Subsystem display order in the report.
-SECTIONS = (
-    "movers", "services", "access_mix", "split", "resolve", "observe",
-    "bookkeeping",
-)
 
 
 def profiler_enabled() -> bool:
@@ -38,143 +21,10 @@ def profiler_enabled() -> bool:
 
 
 def profiling_active() -> bool:
-    """True when any profiling consumer wants tick attribution collected.
-
-    Either the ``REPRO_PROFILE`` environment flag (stderr report) or an
-    installed telemetry session opened with ``profile=True`` (structured
-    ``--profile-out`` records).  Engines and trackers consult this once at
-    construction, so the per-tick fast path still carries only ``is None``
-    checks when nothing asked for profiling.
-    """
+    """True under ``REPRO_PROFILE`` or inside a telemetry session opened
+    with ``profile=True`` (``--profile-out``)."""
     if profiler_enabled():
         return True
     from repro.obs import telemetry
 
     return telemetry.profiling_active()
-
-
-def iter_trackers(manager):
-    """Yield ``(label, tracker)`` for every hot/cold tracker under ``manager``.
-
-    Covers both shapes: a single managed run (``manager.tracker``) and a
-    colocation run (one tracker per tenant manager).
-    """
-    tracker = getattr(manager, "tracker", None)
-    if tracker is not None:
-        yield getattr(manager, "name", "manager"), tracker
-    tenants = getattr(manager, "tenants", None)
-    if tenants:
-        for name, tenant in tenants.items():
-            sub = getattr(getattr(tenant, "manager", None), "tracker", None)
-            if sub is not None:
-                yield name, sub
-
-
-def pagestore_report(label: str, profile: Dict[str, int]) -> str:
-    """Format one tracker's drain/cool/classify phase attribution."""
-    total = profile["drain_ns"] + profile["cool_ns"] + profile["classify_ns"]
-    samples = profile["samples"]
-    head = (
-        f"[profile]   pagestore/{label}: {samples} samples in "
-        f"{profile['batches']} batches, {total / 1e9:.3f}s"
-    )
-    if samples:
-        head += f", {total / samples:.0f} ns/sample"
-    lines = [head]
-    if total > 0:
-        for phase in ("drain", "cool", "classify"):
-            ns = profile[f"{phase}_ns"]
-            lines.append(
-                f"[profile]     {phase:<9} {ns / 1e9:8.3f}s"
-                f"  {ns / total * 100:5.1f}%"
-            )
-    return "\n".join(lines)
-
-
-class TickProfiler:
-    """Accumulates wall time per engine subsystem across ticks.
-
-    Usage inside the tick loop: ``start()`` once at tick begin, ``lap(name)``
-    after each section (charges the elapsed time since the previous lap to
-    ``name``), ``tick()`` at tick end.
-    """
-
-    def __init__(self):
-        self.seconds: Dict[str, float] = {name: 0.0 for name in SECTIONS}
-        self.ticks = 0
-        self._mark = 0.0
-
-    def start(self) -> None:
-        self._mark = perf_counter()
-
-    def lap(self, name: str) -> None:
-        now = perf_counter()
-        self.seconds[name] = self.seconds.get(name, 0.0) + (now - self._mark)
-        self._mark = now
-
-    def tick(self) -> None:
-        self.ticks += 1
-
-    # -- reporting -----------------------------------------------------------
-    def report(self, label: str = "") -> str:
-        total = sum(self.seconds.values())
-        lines = [
-            f"[profile{': ' + label if label else ''}] "
-            f"{self.ticks} ticks, {total:.3f}s in engine sections"
-        ]
-        if total > 0 and self.ticks > 0:
-            per_tick = total / self.ticks
-            lines.append(
-                f"[profile]   {per_tick * 1e6:.1f} us/tick across sections"
-            )
-            for name in sorted(self.seconds, key=self.seconds.get, reverse=True):
-                secs = self.seconds[name]
-                if secs <= 0:
-                    continue
-                lines.append(
-                    f"[profile]   {name:<12} {secs:8.3f}s  {secs / total * 100:5.1f}%"
-                )
-        return "\n".join(lines)
-
-    def emit(self, engine) -> None:
-        """Print the report for one finished engine run (stderr).
-
-        Includes the pagestore drain/cool/classify phase split for every
-        tracker under the engine's manager (see
-        :meth:`repro.core.tracking.HotColdTracker.record_samples`).
-        """
-        label = (
-            f"{getattr(engine.workload, 'name', '?')}"
-            f"/{getattr(engine.manager, 'name', '?')}"
-        )
-        print(self.report(label), file=sys.stderr)
-        for name, tracker in iter_trackers(engine.manager):
-            profile = getattr(tracker, "profile", None)
-            if profile is not None and profile["batches"]:
-                print(pagestore_report(name, profile), file=sys.stderr)
-
-
-def profile_payload(engine) -> dict:
-    """Structured profiling record for one finished engine run.
-
-    The JSON counterpart of :meth:`TickProfiler.emit`: engine sections in
-    seconds plus the pagestore drain/cool/classify phase counters of every
-    tracker under the manager, labelled ``workload/manager``.  Telemetry
-    sessions opened with ``profile=True`` spool one of these per engine
-    run; :func:`repro.obs.telemetry.merge_profiles` folds them fleet-wide.
-    """
-    profiler = engine.profiler
-    payload = {
-        "label": (
-            f"{getattr(engine.workload, 'name', '?')}"
-            f"/{getattr(engine.manager, 'name', '?')}"
-        ),
-        "ticks": profiler.ticks if profiler is not None else 0,
-        "sections": dict(profiler.seconds) if profiler is not None else {},
-        "pagestore": {},
-    }
-    for name, tracker in iter_trackers(engine.manager):
-        profile = getattr(tracker, "profile", None)
-        if profile is not None and profile["batches"]:
-            payload["pagestore"][name] = dict(profile)
-    return payload

@@ -42,9 +42,6 @@ class CsrGraph:
     def neighbors(self, v: int) -> np.ndarray:
         return self.targets[self.offsets[v]:self.offsets[v + 1]]
 
-    def out_degree(self, v: int) -> int:
-        return int(self.offsets[v + 1] - self.offsets[v])
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
 

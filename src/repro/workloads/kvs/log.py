@@ -36,10 +36,6 @@ class SegmentedLog:
         self._freed: List[int] = [0]  # bytes freed (dead items) per segment
 
     @property
-    def n_segments(self) -> int:
-        return len(self._fill)
-
-    @property
     def live_bytes(self) -> int:
         return sum(self._fill) - sum(self._freed)
 

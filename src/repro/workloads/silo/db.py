@@ -223,12 +223,3 @@ class Transaction:
         db = self.db
         seq = db.commits + db.aborts + 1
         return (db.epoch << 40) | (seq & ((1 << 40) - 1))
-
-    # -- introspection -------------------------------------------------------------
-    @property
-    def read_set_size(self) -> int:
-        return len(self._reads)
-
-    @property
-    def write_set_size(self) -> int:
-        return len(self._writes) + len(self._inserts)

@@ -418,67 +418,6 @@ class TestBatchedSamples:
         assert calls == [tracker.pid_of(region, 2)]
 
 
-class TestProfiledBatch:
-    """REPRO_PROFILE times the shipped loop without changing what it does."""
-
-    def test_profiled_state_identical_and_attributed(self, region, stats):
-        fast = HotColdTracker(HeMemConfig(), stats.scoped("fast"))
-        prof = HotColdTracker(HeMemConfig(), stats.scoped("prof"))
-        # Force the profiled path without touching the environment.
-        prof.profile = {"drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
-                        "samples": 0, "batches": 0}
-        chunks = mixed_chunks(region)
-        fast.record_samples(chunks)
-        prof.record_samples(chunks)
-        assert prof.global_clock == fast.global_clock
-        for page in range(8):
-            assert state(fast, region, page) == state(prof, region, page)
-        assert prof.profile["samples"] == sum(len(p) for _, _, p in chunks)
-        assert prof.profile["batches"] == 1
-        assert prof.profile["drain_ns"] > 0
-        assert prof.profile["cool_ns"] > 0
-        assert prof.profile["classify_ns"] > 0
-        # the lap wrappers live on the instance for the batch only
-        assert not {"cool_if_stale", "_advance_clock", "_reclassify"} & set(
-            vars(prof))
-
-    def test_nested_reclassify_charged_to_cooling_only(self, region, stats):
-        prof = HotColdTracker(HeMemConfig(), stats)
-        prof.profile = {"drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
-                        "samples": 0, "batches": 0}
-        pid = prof.track_page(region, 0)
-        prof.store.reads[pid] = 20
-        prof.store.writes[pid] = 6
-        prof.global_clock += 1  # page 0 is stale: the batch cools it
-        calls = []
-        cool_if_stale = prof.cool_if_stale
-        reclassify = prof._reclassify
-
-        def cool_spy(pid):
-            calls.append("cool")
-            cool_if_stale(pid)
-
-        def reclassify_spy(pid):
-            calls.append("classify")
-            reclassify(pid)
-
-        prof.cool_if_stale = cool_spy
-        prof._reclassify = reclassify_spy
-        prof.record_samples([(PebsEventKind.STORE, region, [0])])
-        # Cooling (reads 10, writes 3) re-homed the page inside the cool
-        # lap; the store then made it write-heavy, so the per-record
-        # _reclassify ran in the classify lap.
-        assert calls == ["cool", "classify", "classify"]
-        assert prof.store.flags[pid] & WRITE_HEAVY
-        assert prof.profile["cool_ns"] > 0 and prof.profile["classify_ns"] > 0
-
-    def test_profile_enabled_by_env_flag(self, stats, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
-        assert HotColdTracker(HeMemConfig(), stats).profile is not None
-        monkeypatch.setenv("REPRO_PROFILE", "0")
-        assert HotColdTracker(HeMemConfig(), stats.scoped("off")).profile is None
-
-
 class TestScanHits:
     def test_accessed_increments_reads(self, tracker, region):
         tracker.record_scan_hit(region, 0, accessed=True, dirty=False)

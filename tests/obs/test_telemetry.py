@@ -399,28 +399,34 @@ class TestServeMetrics:
 
 class TestMergeProfiles:
     def test_aggregate_and_collapsed_stacks(self):
+        tick = "sim.engine.tick"
+        resolve = f"{tick};mem.machine.resolve"
         rows = [
-            {"label": "gups/hemem", "ticks": 100,
-             "sections": {"movers": 0.5, "services": 0.25},
-             "pagestore": {"hemem": {"drain_ns": 2_000_000, "cool_ns": 0,
-                                     "classify_ns": 1_000_000,
-                                     "samples": 10, "batches": 2}}},
-            {"label": "gups/hemem", "ticks": 50,
-             "sections": {"movers": 0.5},
-             "pagestore": {"hemem": {"drain_ns": 1_000_000, "cool_ns": 0,
-                                     "classify_ns": 0,
-                                     "samples": 5, "batches": 1}}},
+            {"wall_s": 2.0, "overhead_s": 0.5, "trace.overhead_frac": 1 / 3,
+             "spans": {tick: [100, 1.5, 0.5], resolve: [100, 0.5, 0.0]}},
+            {"wall_s": 1.0, "overhead_s": 0.25, "trace.overhead_frac": 1 / 3,
+             "spans": {tick: [50, 0.75, 0.75], resolve: [50, 0.75, 0.0],
+                       "sim.engine.setup": [1, 0.25, 0.0]}},
         ]
         merged = merge_profiles(rows)
+        assert merged["workers"] == rows
         agg = merged["aggregate"]
         assert agg["runs"] == 2 and agg["ticks"] == 150
-        assert agg["sections"]["movers"] == 1.0
-        assert agg["pagestore"]["hemem"]["drain_ns"] == 3_000_000
-        assert agg["pagestore"]["hemem"]["samples"] == 15
-        assert "engine;movers 1000000" in merged["collapsed"]
-        assert "pagestore;hemem;drain 3000" in merged["collapsed"]
-        # zero-valued frames are omitted
-        assert not any("cool" in line for line in merged["collapsed"])
+        assert agg["wall_s"] == 3.0 and agg["overhead_s"] == 0.75
+        assert agg["trace.overhead_frac"] == pytest.approx(0.75 / 2.25)
+        assert agg["self_s"]["sim.engine.tick"] == pytest.approx(1.0)
+        assert agg["self_s"]["mem.machine.resolve"] == pytest.approx(1.25)
+        assert agg["calls"]["mem.machine.resolve"] == 150
+        # every layer is listed, used or not
+        assert agg["calls"]["core.tracking.cool"] == 0
+        assert agg["self_s"]["core.tracking.cool"] == 0.0
+        # collapsed lines: ;-joined span paths holding self microseconds,
+        # zero-self paths omitted (the second row's tick self time is 0)
+        assert merged["collapsed"] == [
+            "sim.engine.setup 250000",
+            "sim.engine.tick 1000000",
+            "sim.engine.tick;mem.machine.resolve 1250000",
+        ]
 
     def test_empty(self):
         merged = merge_profiles([])

@@ -80,17 +80,20 @@ class TestProfileSpool:
         sink = MemorySink()
         with telemetry.session(sink, profile=True):
             run_gups_quick(HeMemManager(), _migratory_gups(),
-                           duration=2.0, warmup=0.5, scale=2048)
+                           duration=1.0, warmup=0.5, scale=2048)
+            run_gups_quick(HeMemManager(), _migratory_gups(),
+                           duration=1.0, warmup=0.5, scale=2048)
+        # one span-tree row per session, however many engines ran in it
         profiles = [r for r in sink.rows if r["kind"] == "profile"]
         assert len(profiles) == 1
         [row] = profiles
-        assert row["label"] == "gups/hemem"
-        assert row["ticks"] > 0
-        assert row["sections"]  # engine phase timings present
-        assert "movers" in row["sections"]
-        # the page-store tracker recorded drain/classify phases
-        assert any(phases.get("batches", 0) > 0
-                   for phases in row["pagestore"].values())
+        assert row["spans"]["sim.engine.tick"][0] == 200  # two 100-tick runs
+        assert row["spans"]["sim.engine.setup"][0] == 2
+        assert row["wall_s"] > row["overhead_s"] > 0
+        assert row["trace.overhead_frac"] > 0
+        # the page-store tracker's batches ran under the drain service
+        assert any(path.endswith(";core.tracking.record_samples")
+                   for path in row["spans"])
 
     def test_plain_session_spools_no_profile(self):
         sink = _run_quick()  # profile defaults to False

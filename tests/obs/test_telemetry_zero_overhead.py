@@ -8,12 +8,15 @@ swapping the registry/sink classes (and the key formatter) for stand-ins
 that raise on use.
 """
 
+import importlib
+
 import pytest
 
 import repro.obs as obs
 import repro.obs.telemetry
 from repro.core.hemem import HeMemManager
 from repro.mem.machine import MachineSpec
+from repro.obs import spans
 from repro.workloads.gups import GupsConfig
 
 
@@ -61,7 +64,15 @@ def test_sessionless_run_touches_no_telemetry(armed_telemetry):
     # the sampler ran every tick and never created a registry
     assert engine.metrics is not None
     assert engine.metrics.telemetry is None
-    assert engine.profiler is None
+    # no profiling scope is open and no layer method is wrapped
+    assert spans._active is None
+    for _, target in spans.SPANS:
+        module, _, qualname = target.partition(":")
+        owner_name, _, attr = qualname.rpartition(".")
+        owner = importlib.import_module(module)
+        if owner_name:
+            owner = getattr(owner, owner_name)
+        assert not hasattr(vars(owner)[attr], "__wrapped__"), target
     # the run did real migration work — the guard covered the hot publish
     # sites, not an idle machine
     counters = engine.machine.stats.counters()

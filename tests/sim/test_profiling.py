@@ -1,18 +1,10 @@
-"""Profiling plumbing: env-flag parsing, activity predicate, payloads."""
-
-from types import SimpleNamespace
+"""Profiling plumbing: env-flag parsing and the activity predicate."""
 
 import pytest
 
 from repro.obs import telemetry
 from repro.obs.telemetry import MemorySink
-from repro.sim.profiling import (
-    SECTIONS,
-    TickProfiler,
-    profile_payload,
-    profiler_enabled,
-    profiling_active,
-)
+from repro.sim.profiling import profiler_enabled, profiling_active
 
 
 class TestProfilerEnabled:
@@ -51,41 +43,3 @@ class TestProfilingActive:
         monkeypatch.delenv("REPRO_PROFILE", raising=False)
         with telemetry.session(MemorySink()):
             assert not profiling_active()
-
-
-class TestProfilePayload:
-    def _engine(self, profiler, tracker=None):
-        manager = SimpleNamespace(name="hemem", tracker=tracker)
-        return SimpleNamespace(
-            workload=SimpleNamespace(name="gups"),
-            manager=manager,
-            profiler=profiler,
-        )
-
-    def test_sections_and_pagestore(self):
-        profiler = TickProfiler()
-        profiler.seconds["movers"] = 0.25
-        profiler.ticks = 42
-        tracker = SimpleNamespace(profile={
-            "drain_ns": 100, "cool_ns": 0, "classify_ns": 50,
-            "samples": 7, "batches": 2,
-        })
-        payload = profile_payload(self._engine(profiler, tracker))
-        assert payload["label"] == "gups/hemem"
-        assert payload["ticks"] == 42
-        assert payload["sections"]["movers"] == 0.25
-        assert set(payload["sections"]) == set(SECTIONS)
-        assert payload["pagestore"]["hemem"]["samples"] == 7
-
-    def test_batchless_tracker_omitted(self):
-        tracker = SimpleNamespace(profile={
-            "drain_ns": 0, "cool_ns": 0, "classify_ns": 0,
-            "samples": 0, "batches": 0,
-        })
-        payload = profile_payload(self._engine(TickProfiler(), tracker))
-        assert payload["pagestore"] == {}
-
-    def test_no_profiler(self):
-        payload = profile_payload(self._engine(None))
-        assert payload["ticks"] == 0
-        assert payload["sections"] == {}
