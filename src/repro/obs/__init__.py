@@ -20,10 +20,11 @@ Traces round-trip through :mod:`repro.obs.replay`, which computes derived
 views (migration latencies, migration-rate time series, tier byte deltas).
 
 :mod:`repro.obs.telemetry` is the *in-run* counterpart: a live metric
-registry that samplers and serving services publish into at window
-boundaries, spooled per worker and merged fleet-wide by a parent-side
-collector, with Prometheus export and the ``bench watch`` dashboard on
-top (DESIGN.md §15).
+registry, one per machine (:meth:`MetricsSampler.registry`), that the
+sampler and the serving services write into and the sampler publishes
+on the window grid, spooled per worker and merged fleet-wide by a
+parent-side collector, with Prometheus export and the ``bench watch``
+dashboard on top (DESIGN.md §15).
 
 On top of the event stream sits the diagnosis layer:
 :mod:`repro.obs.diagnose` folds a trace into per-page placement
@@ -67,7 +68,6 @@ from repro.obs.runtime import capture, capture_active, is_metrics, is_tracing
 from repro.obs.stream import (
     StreamingTracer,
     TraceSegmentWriter,
-    WindowRollup,
     iter_segment_events,
     load_segment_trace,
 )
@@ -96,7 +96,6 @@ __all__ = [
     "Trace",
     "TraceSegmentWriter",
     "Tracer",
-    "WindowRollup",
     "capture",
     "capture_active",
     "event_from_dict",

@@ -464,6 +464,17 @@ class SloBurn(Detector):
         self.warn_pages = warn_pages
         self.critical_pages = critical_pages
 
+    def severity(self, pages) -> Optional[str]:
+        """Burn severity of ``pages`` evicted within one window.
+
+        ``None`` below ``warn_pages``.  The online controller classifies
+        each tenant's per-window eviction delta with this too, so both
+        share one definition of a burn.
+        """
+        if pages < self.warn_pages:
+            return None
+        return "critical" if pages >= self.critical_pages else "warning"
+
     def scan(self, trace, ctx: HealthContext) -> List[Finding]:
         evicted: Dict[Tuple[str, int, int], int] = defaultdict(int)
         for event in trace.events:
@@ -472,11 +483,9 @@ class SloBurn(Detector):
                     evicted[(event.tenant, grid, win)] += event.pages
         entries = []
         for (tenant, grid, win), pages in sorted(evicted.items()):
-            if pages < self.warn_pages:
+            severity = self.severity(pages)
+            if severity is None:
                 continue
-            severity = (
-                "critical" if pages >= self.critical_pages else "warning"
-            )
             start, end = _window_span(grid, win, self.window)
             entries.append((grid, tenant, Finding(
                 self.name, severity, max(start, 0.0), end,

@@ -104,6 +104,17 @@ class MetricsSampler:
                           queued, tenants)
             self._next_pub = session.next_boundary(now)
 
+    def registry(self, session):
+        """The machine's shared telemetry registry (created on first use).
+
+        The serving monitor and controller write into it too, so their
+        metrics ride this sampler's window-boundary snapshots.
+        """
+        registry = self.telemetry
+        if registry is None:
+            registry = self.telemetry = session.make_registry()
+        return registry
+
     def tenant_departed(self, name: str) -> None:
         """Finalize a departed tenant's bookkeeping (colo churn hook).
 
@@ -130,9 +141,7 @@ class MetricsSampler:
         numerator/denominator counters — the frontends derive rates from
         window deltas.
         """
-        registry = self.telemetry
-        if registry is None:
-            registry = self.telemetry = session.make_registry()
+        registry = self.registry(session)
         registry.gauge_set("dram_bytes", dram)
         registry.gauge_set("nvm_bytes", nvm)
         registry.gauge_set("migration_queue_bytes", queued)

@@ -18,16 +18,13 @@ This module bounds it:
 - :func:`iter_segment_events` / :func:`load_segment_trace` replay a
   segment directory (or its manifest payload) back into event dicts or a
   :class:`~repro.obs.replay.Trace`.
-- :class:`WindowRollup` keeps fixed-window aggregates (count/sum/min/max)
-  of a streamed quantity in O(windows) memory — the roll-up half of the
-  streaming story, used by the serving monitor's SLO and latency tables.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, List, Optional
 
 from repro.obs.events import event_from_dict, event_to_dict
 from repro.obs.trace import Tracer
@@ -211,56 +208,3 @@ def load_segment_trace(directory: str):
 
     return Trace([event_from_dict(d) for d in iter_segment_events(directory)])
 
-
-class WindowRollup:
-    """Fixed-window streaming aggregates: count/sum/min/max per window.
-
-    Feeding N samples costs O(1) each and O(windows) memory total — the
-    roll-up never stores samples.  Windows are aligned (window k covers
-    ``[k*width, (k+1)*width)``).
-    """
-
-    def __init__(self, width: float):
-        if width <= 0:
-            raise ValueError(f"window width must be positive: {width}")
-        self.width = width
-        self._windows: Dict[int, List[float]] = {}
-
-    def add(self, t: float, value: float = 1.0) -> None:
-        win = int(t // self.width)
-        agg = self._windows.get(win)
-        if agg is None:
-            self._windows[win] = [1.0, value, value, value]
-        else:
-            agg[0] += 1.0
-            agg[1] += value
-            if value < agg[2]:
-                agg[2] = value
-            if value > agg[3]:
-                agg[3] = value
-
-    def __len__(self) -> int:
-        return len(self._windows)
-
-    def window(self, win: int) -> Optional[dict]:
-        agg = self._windows.get(win)
-        if agg is None:
-            return None
-        return self._row(win, agg)
-
-    def rows(self) -> List[dict]:
-        """All windows in time order."""
-        return [self._row(win, agg)
-                for win, agg in sorted(self._windows.items())]
-
-    def _row(self, win: int, agg: List[float]) -> dict:
-        return {
-            "window": win,
-            "start": win * self.width,
-            "end": (win + 1) * self.width,
-            "count": int(agg[0]),
-            "sum": agg[1],
-            "mean": agg[1] / agg[0],
-            "min": agg[2],
-            "max": agg[3],
-        }

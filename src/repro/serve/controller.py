@@ -1,11 +1,10 @@
-"""Online SLO control: windowed slo-burn findings drive arbiter knobs.
+"""Online SLO control: per-window eviction burns drive arbiter knobs.
 
-:class:`SloController` closes the MaxMem-style loop: once per window it
-synthesises the window's per-tenant arbiter-eviction deltas into
-:class:`~repro.obs.events.TenantEvicted` events, runs the *same*
-:class:`~repro.obs.health.SloBurn` detector the offline health report
-uses over that one-window trace, and turns the findings into bounded
-knob adjustments on the live tenants:
+:class:`SloController` closes the MaxMem-style loop: each run is one
+window.  It classifies every tenant's arbiter-eviction delta since the
+previous run with :meth:`~repro.obs.health.SloBurn.severity` (the burn
+thresholds the offline health report scans with) and turns the burns
+into bounded knob adjustments on the live tenants:
 
 - **defend**: a tenant currently *meeting* its SLO gets its
   ``floor_boost_pages`` pinned to its current DRAM residency (capped at
@@ -43,9 +42,8 @@ from typing import Dict
 
 from repro.mem.page import Tier
 from repro.obs import telemetry
-from repro.obs.events import ControllerAction, TenantEvicted
-from repro.obs.health import HealthContext, SloBurn
-from repro.obs.replay import Trace
+from repro.obs.events import ControllerAction
+from repro.obs.health import SloBurn
 from repro.sim.service import Service
 
 
@@ -109,10 +107,8 @@ class SloController(Service):
         # window (one active() test when disabled); _record then counts
         # each adjustment under its action label.
         session = telemetry.active()
-        if session is not None:
-            from repro.serve.monitor import FleetMonitor
-
-            self._telemetry = FleetMonitor._telemetry_registry(engine, session)
+        if session is not None and engine.metrics is not None:
+            self._telemetry = engine.metrics.registry(session)
         self.control(now)
         return 0.0
 
@@ -127,14 +123,15 @@ class SloController(Service):
                 self._burn_streak.pop(name, None)
                 self._clean_streak.pop(name, None)
 
-        events = []
+        burning: Dict[str, str] = {}
         rates: Dict[str, float] = {}
         for name in sorted(active):
             tenant = active[name]
             delta = tenant.evicted_pages - self._last_evicted.get(name, 0)
             self._last_evicted[name] = tenant.evicted_pages
-            if delta > 0:
-                events.append(TenantEvicted(now, name, delta))
+            severity = self._detector.severity(delta) if delta > 0 else None
+            if severity is not None:
+                burning[name] = severity
             ops = float(tenant.workload.total_ops)
             prev = self._last_ops.get(name)
             self._last_ops[name] = ops
@@ -145,16 +142,6 @@ class SloController(Service):
         self._defended = sum(
             t.floor_boost_pages for t in active.values()
         )
-
-        burning: Dict[str, str] = {}
-        if events:
-            trace = Trace(events)
-            for finding in self._detector.scan(trace, HealthContext(trace)):
-                tenant = finding.data["tenant"]
-                # dual-grid scan can yield at most one finding per tenant
-                # for a single-instant window; keep the worse severity
-                if burning.get(tenant) != "critical":
-                    burning[tenant] = finding.severity
 
         for name in sorted(active):
             tenant = active[name]

@@ -1,13 +1,14 @@
 """Windowed fleet SLO monitoring: attainment, storms, tail heatmap.
 
-:class:`FleetMonitor` is an engine service sampling the fleet once per
-window: each SLO tenant's achieved ops/s over the window (a delta of its
-workload's cumulative counter — O(active tenants) per pass, no event
-capture), and the fleet-wide arbiter-eviction volume folded into a
-:class:`~repro.obs.stream.WindowRollup`.  :meth:`fleet_summary` reduces
-the samples to the serving scoreboard: fleet SLO attainment, eviction
-storms survived, and slowdown tail percentiles per day-phase quarter —
-the tail-latency-over-time heatmap row of the ``fleet_diurnal`` table.
+:class:`FleetMonitor` is an engine service, and each of its runs is one
+window.  A run samples each SLO tenant's achieved ops/s over the window
+(a delta of its workload's cumulative counter — O(active tenants) per
+pass, no event capture) and counts the window as an eviction storm when
+the fleet-wide arbiter-eviction delta since the previous run reaches
+``storm_pages``.  :meth:`fleet_summary` reduces the samples to the
+serving scoreboard: fleet SLO attainment, eviction storms survived, and
+slowdown tail percentiles per day-phase quarter — the
+tail-latency-over-time heatmap row of the ``fleet_diurnal`` table.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import math
 from typing import Dict, List, Optional
 
 from repro.obs import telemetry
-from repro.obs.stream import WindowRollup
 from repro.sim.service import Service
 
 #: day-phase labels (quarters of the diurnal period, q1 = around midnight)
@@ -48,8 +48,8 @@ class FleetMonitor(Service):
         #: per-tenant cumulative-op baseline at the previous window edge
         self._last_ops: Dict[str, float] = {}
         self._last_evicted = 0.0
-        #: fleet eviction volume per window (count/sum/min/max only)
-        self.evictions = WindowRollup(window)
+        #: measured windows whose fleet eviction delta reached storm_pages
+        self.storm_windows = 0
         #: slowdown samples per day-phase label ("" key = all phases);
         #: one float per (SLO tenant, window) pair
         self._slowdowns: Dict[str, List[float]] = {"": []}
@@ -80,10 +80,9 @@ class FleetMonitor(Service):
         # services running before bookkeeping).  One active() test per
         # window when disabled.
         session = telemetry.active()
-        registry = (
-            self._telemetry_registry(engine, session)
-            if session is not None else None
-        )
+        registry = None
+        if session is not None and engine.metrics is not None:
+            registry = engine.metrics.registry(session)
         active_names = set()
         for tenant in colo.active_tenants():
             name = tenant.name
@@ -123,7 +122,8 @@ class FleetMonitor(Service):
         self._last_evicted = evicted
         if measuring:
             self._windows += 1
-            self.evictions.add(now, delta)
+            if delta >= self.storm_pages:
+                self.storm_windows += 1
         if registry is not None:
             registry.counter_set("slo_tenant_windows_total",
                                  float(self._samples.get("", 0)))
@@ -135,36 +135,17 @@ class FleetMonitor(Service):
                 registry.gauge_set("slo_attainment", attainment)
         return 0.0
 
-    @staticmethod
-    def _telemetry_registry(engine, session):
-        """The machine's shared telemetry registry (created on first use).
-
-        Shared with :class:`~repro.obs.metrics.MetricsSampler` so monitor
-        metrics ride the sampler's window-boundary snapshots; ``None``
-        when metric capture is off (telemetry-enabled runs turn it on).
-        """
-        sampler = getattr(engine, "metrics", None)
-        if sampler is None:
-            return None
-        registry = sampler.telemetry
-        if registry is None:
-            registry = sampler.telemetry = session.make_registry()
-        return registry
-
     # -- reduction ------------------------------------------------------------
     def fleet_summary(self, day_seconds: Optional[float] = None) -> dict:
         """Reduce the windowed samples to the fleet scoreboard."""
         if day_seconds is not None:
             self._day_seconds = day_seconds
-        storms = sum(
-            1 for row in self.evictions.rows() if row["sum"] >= self.storm_pages
-        )
         out = {
             "windows": self._windows,
             "tenant_windows": self._samples.get("", 0),
             "attainment": self._ratio(""),
             "evicted_pages": self._last_evicted,
-            "storm_windows": storms,
+            "storm_windows": self.storm_windows,
             "storm_threshold_pages": self.storm_pages,
             "phases": {},
         }

@@ -54,23 +54,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return len(self.times)
 
-    def last(self) -> float:
-        if not self.values:
-            raise IndexError(f"time series {self.name} is empty")
-        return self.values[-1]
-
-    def mean(self, since: float = 0.0) -> float:
-        """Mean of samples with ``time >= since`` (0 if none)."""
-        pairs = [v for t, v in zip(self.times, self.values) if t >= since]
-        if not pairs:
-            return 0.0
-        return sum(pairs) / len(pairs)
-
-    def window(self, start: float, end: float) -> List[Tuple[float, float]]:
-        return [
-            (t, v) for t, v in zip(self.times, self.values) if start <= t < end
-        ]
-
 
 def log_bounds(lo: float, hi: float, per_decade: int = 4) -> Tuple[float, ...]:
     """Geometric bucket boundaries from ``lo`` to at least ``hi``."""
@@ -213,15 +196,6 @@ class StatsRegistry:
             name: {"times": list(s.times), "values": list(s.values)}
             for name, s in self._series.items()
         }
-
-    def has_counter(self, name: str) -> bool:
-        return name in self._counters
-
-    def has_series(self, name: str) -> bool:
-        return name in self._series
-
-    def has_histogram(self, name: str) -> bool:
-        return name in self._histograms
 
 
 class ScopedStats:

@@ -15,7 +15,6 @@ from repro.obs.events import (
 from repro.obs.stream import (
     StreamingTracer,
     TraceSegmentWriter,
-    WindowRollup,
     iter_segment_events,
     load_segment_trace,
 )
@@ -153,32 +152,6 @@ class TestCaptureStreaming:
         first = cap.payloads()
         second = cap.payloads()
         assert first[0]["trace"] == second[0]["trace"]
-
-
-class TestWindowRollup:
-    def test_aggregates_per_window(self):
-        roll = WindowRollup(1.0)
-        for t, v in [(0.1, 2.0), (0.9, 4.0), (1.5, 10.0)]:
-            roll.add(t, v)
-        rows = roll.rows()
-        assert [r["window"] for r in rows] == [0, 1]
-        assert rows[0]["count"] == 2
-        assert rows[0]["sum"] == pytest.approx(6.0)
-        assert rows[0]["mean"] == pytest.approx(3.0)
-        assert rows[0]["min"] == 2.0
-        assert rows[0]["max"] == 4.0
-        assert rows[1] == roll.window(1)
-        assert roll.window(7) is None
-
-    def test_memory_is_o_windows(self):
-        roll = WindowRollup(1.0)
-        for i in range(100000):
-            roll.add((i % 10) + 0.5)
-        assert len(roll) == 10
-
-    def test_invalid_width_rejected(self):
-        with pytest.raises(ValueError):
-            WindowRollup(0.0)
 
 
 def test_event_dict_helpers_inverse():

@@ -8,7 +8,6 @@ from repro.obs.events import PebsDrop
 from repro.obs.stream import (
     StreamingTracer,
     TraceSegmentWriter,
-    WindowRollup,
     iter_segment_events,
 )
 
@@ -73,32 +72,6 @@ class TestOutOfOrderTimestamps:
         # emission order is preserved on replay
         times = [d["t"] for d in iter_segment_events(str(tmp_path / "seg"))]
         assert times == pytest.approx([0.30, 0.10, 0.20])
-
-    def test_rollup_disorder_within_window(self):
-        rollup = WindowRollup(1.0)
-        for t, value in ((0.9, 5.0), (0.1, 1.0), (0.5, 3.0)):
-            rollup.add(t, value)
-        [row] = rollup.rows()
-        assert row["window"] == 0
-        assert row["count"] == 3
-        assert row["sum"] == 9.0
-        assert row["min"] == 1.0 and row["max"] == 5.0
-
-    def test_rollup_late_sample_lands_in_its_own_window(self):
-        rollup = WindowRollup(0.5)
-        rollup.add(1.2, 2.0)
-        rollup.add(0.3, 4.0)  # late arrival for an earlier window
-        rows = rollup.rows()
-        assert [r["window"] for r in rows] == [0, 2]
-        assert rows[0]["sum"] == 4.0
-        assert rollup.window(2)["sum"] == 2.0
-        assert rollup.window(1) is None
-
-    def test_rollup_boundary_sample_goes_to_upper_window(self):
-        rollup = WindowRollup(0.5)
-        rollup.add(0.5, 1.0)  # windows are [k*w, (k+1)*w)
-        assert rollup.window(0) is None
-        assert rollup.window(1)["count"] == 1
 
 
 class TestManifestTotals:

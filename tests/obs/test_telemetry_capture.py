@@ -6,6 +6,7 @@ import repro.obs as obs
 from repro.core.hemem import HeMemManager
 from repro.mem.machine import MachineSpec
 from repro.obs import telemetry
+from repro.obs.metrics import MetricsSampler
 from repro.obs.telemetry import MemorySink, parse_key
 from repro.sim.stats import StatsRegistry
 from repro.workloads.gups import GupsConfig
@@ -101,9 +102,10 @@ class TestProfileSpool:
 
 
 def _engine_stub():
-    """An engine with a stand-in sampler (monitor/controller only touch
-    ``engine.metrics.telemetry``)."""
-    return SimpleNamespace(metrics=SimpleNamespace(telemetry=None))
+    """An engine whose sampler sits on a stand-in machine (monitor and
+    controller only touch ``engine.metrics.registry``)."""
+    machine = SimpleNamespace(stats=StatsRegistry())
+    return SimpleNamespace(metrics=MetricsSampler(machine))
 
 
 def _make_tenant(name, slo=1e6, ops=0.0):

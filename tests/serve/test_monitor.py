@@ -135,6 +135,17 @@ class TestStorms:
         assert s["evicted_pages"] == 280
         assert s["storm_threshold_pages"] == 100
 
+    def test_each_run_is_its_own_window_under_clock_drift(self):
+        # Tick accumulation drifts the service instants: these two runs are
+        # consecutive windows although floor(t / 0.5) is 4 for both.
+        t = make_tenant("web-000", slo=None)
+        mon = make_monitor([t], storm_pages=40)
+        mon.run(None, 1.5, WINDOW)
+        for now in (2.0000000000000013, 2.4999999999999907):
+            t.evicted_pages += 50
+            mon.run(None, now, WINDOW)
+        assert mon.fleet_summary()["storm_windows"] == 2
+
     def test_departed_tenant_evictions_still_counted(self):
         t = make_tenant("web-000", slo=None, evicted=50)
         tenants = [t]
