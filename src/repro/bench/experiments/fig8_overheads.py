@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, List
 
+import numpy as np
+
 from repro.bench.gups_common import run_gups_case
 from repro.bench.report import Table
 from repro.bench.runner import Case
@@ -46,17 +48,25 @@ def _gups_config(scenario: Scenario) -> GupsConfig:
 
 
 def _oracle_placement(engine) -> None:
-    """Place the hot set in DRAM by fiat (the 'Opt' baseline)."""
+    """Place the hot set in DRAM by fiat (the 'Opt' baseline).
+
+    Each moved page takes its DAX reservation along, so the page ledger
+    stays balanced; demotions go first to free the DRAM promotions need.
+    """
     workload = engine.workload
+    manager = engine.manager
     region = workload.region
-    region.tier[:] = Tier.NVM
-    region.tier[workload._hot_pages] = Tier.DRAM
+    target = np.full(region.n_pages, Tier.NVM, dtype=region.tier.dtype)
+    target[workload._hot_pages] = Tier.DRAM
+    offsets = manager.offsets(region)
+    for dst in (Tier.NVM, Tier.DRAM):
+        for page in np.flatnonzero((region.tier != dst) & (target == dst)):
+            manager.dax[Tier(region.tier[page])].free_page(int(offsets[page]))
+            offsets[page] = manager.dax[dst].alloc_page()
+            region.tier[page] = dst
     region.tier_version += 1
-    # Bulk tier rewrite bypasses the migrator; re-sync the tracker's
-    # columnar tier mirror (see pagestore docstring).
-    tracker = getattr(engine.manager, "tracker", None)
-    if tracker is not None:
-        tracker.refresh_tiers(region)
+    # Bulk move behind the migrator's back: re-home the tracker's pages.
+    manager.tracker.refresh_tiers(region)
 
 
 def _disable(engine, *service_names) -> None:

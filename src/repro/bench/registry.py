@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
 from repro.bench.experiments import (
     ablations,
@@ -92,7 +92,3 @@ def get_experiment(name: str) -> Callable[[Scenario], Table]:
 
 def run_experiment(name: str, scenario: Scenario) -> Table:
     return get_experiment(name)(scenario)
-
-
-def experiment_names() -> List[str]:
-    return list(EXPERIMENTS)

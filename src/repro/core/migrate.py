@@ -117,10 +117,6 @@ class Migrator:
     def queued_bytes(self) -> float:
         return self.mover.pending_bytes
 
-    @property
-    def retries_pending(self) -> int:
-        return len(self._retry_queue)
-
     def retry_requests(self) -> List[CopyRequest]:
         """Requests waiting out their backoff (occupancy/invariant checks)."""
         return [request for _ready_at, request in self._retry_queue]

@@ -29,7 +29,8 @@ does not grow the columns without bound.
 per-sample path.  It is written when a page is tracked and in
 ``HotColdTracker.page_migrated``; code that rewrites ``region.tier``
 wholesale behind the tracker's back (the fig8 oracle placement) must call
-``HotColdTracker.refresh_tiers(region)`` afterwards.
+``HotColdTracker.refresh_tiers(region)`` afterwards, which re-homes every
+moved page at once.
 
 **FIFO semantics** are identical to the original ``PageList``: O(1)
 push/pop/remove, byte accounting, double-insert and foreign-remove raise

@@ -165,18 +165,22 @@ class HotColdTracker:
         store.release_region(region)
 
     def refresh_tiers(self, region: Region) -> None:
-        """Re-sync the tier column after a bulk ``region.tier`` rewrite.
+        """Re-home every tracked page of ``region`` whose tier changed.
 
         Needed only by code that moves pages *without* the migrator (the
-        fig8 oracle placement); normal migrations re-sync in
-        :meth:`page_migrated`.  List membership is corrected lazily on the
-        page's next sample, exactly as the pre-columnar tracker behaved.
+        fig8 oracle placement); normal migrations re-home one page at a
+        time in :meth:`page_migrated`.
         """
         store = self.store
         base = store.base_of(region)
         if base is None:
             return
-        store.tier[base : base + region.n_pages] = region.tier.tobytes()
+        tier_col = store.tier
+        flags = store.flags
+        for page, tier in enumerate(region.tier.tobytes()):
+            pid = base + page
+            if tier_col[pid] != tier and flags[pid] & TRACKED:
+                self.page_migrated(pid)
 
     def __len__(self) -> int:
         return self._n_tracked
@@ -394,10 +398,11 @@ class HotColdTracker:
           untracked page is on no list.
         - The tier mirror equals ``region.tier``; the shadow counters
           match the shadow column; only a shadow holder can be DIRTY.
+        - A shadow belongs to a DRAM-resident page, and no two pages share
+          a shadow offset.
 
-        For tests and smoke checks; the simulation never calls it.  After
-        :meth:`refresh_tiers` list membership catches up lazily, so the
-        list-tier law holds again only once each moved page is re-sampled.
+        For tests and smoke checks (:mod:`repro.core.invariants` runs it
+        on every member tracker); the simulation never calls it.
         """
         store = self.store
         describe = store.describe
@@ -424,6 +429,7 @@ class HotColdTracker:
                 bad.append(f"{fifo.name}: walked {count} pages / {nbytes} B, "
                            f"recorded {len(fifo)} / {fifo.nbytes} B")
         n_tracked = shadows = shadow_bytes = 0
+        shadow_owner = {}
         for pid in range(store.capacity):
             f = store.flags[pid]
             listed = store.list_id[pid] != NO_LIST
@@ -438,9 +444,16 @@ class HotColdTracker:
                     bad.append(f"{describe(pid)}: tracked but on no list")
             elif listed:
                 bad.append(f"{describe(pid)}: listed but not tracked")
-            if store.shadow[pid] >= 0:
+            offset = store.shadow[pid]
+            if offset >= 0:
                 shadows += 1
                 shadow_bytes += store.psize[pid]
+                if store.tier[pid] != Tier.DRAM:
+                    bad.append(f"{describe(pid)}: shadow on an NVM page")
+                owner = shadow_owner.setdefault(offset, pid)
+                if owner != pid:
+                    bad.append(f"{describe(pid)}: shares shadow offset "
+                               f"{offset} with pid {owner}")
             elif f & DIRTY:
                 bad.append(f"{describe(pid)}: dirty without a shadow")
         if n_tracked != self._n_tracked:

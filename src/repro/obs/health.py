@@ -171,10 +171,6 @@ class Detector:
         raise NotImplementedError
 
 
-def _window_of(t: float, width: float) -> int:
-    return int(t // width)
-
-
 # Fixed-bin detectors scan two grids: the aligned grid (windows starting at
 # k*width) and a half-offset grid (windows starting at k*width - width/2).
 # A burst straddling an aligned bin boundary splits its mass across two

@@ -9,7 +9,6 @@ structures (table sizes, key popularity, vertex degrees, ...).
 """
 
 from repro.workloads.base import Workload
-from repro.workloads.driver import WorkloadDriver
 from repro.workloads.ephemeral import EphemeralConfig, EphemeralWorkload
 from repro.workloads.gups import GupsConfig, GupsWorkload
 from repro.workloads.multi import MultiWorkload
@@ -21,5 +20,4 @@ __all__ = [
     "GupsWorkload",
     "MultiWorkload",
     "Workload",
-    "WorkloadDriver",
 ]

@@ -1,9 +1,28 @@
-"""Reference implementation of the :class:`WorkloadDriver` protocol.
+"""The driver surface every workload implements: :class:`Workload`.
 
-The full driver contract — lifecycle ordering, backend-swap rules,
-self-termination — is documented on :mod:`repro.workloads.driver`;
-``Workload`` is the ABC most adapters subclass for the shared
-bookkeeping (warmup window, op counting, measured rates).
+Modeled on py-tpcc's driver split (one benchmark, swappable backends):
+the *driver* owns application logic and describes its memory traffic;
+the *backend* — the tiered memory manager under test — owns placement.
+Every adapter (GUPS, Silo, KVS, GAP, the colocation composite, the TPC-C
+database workload of :mod:`repro.db`) subclasses ``Workload`` for the
+shared bookkeeping (warmup window, op counting, measured rates).  The
+engine only calls the methods below, so a driver without the base class
+runs as well.
+
+Lifecycle contract (what :class:`repro.sim.engine.Engine` relies on):
+
+1. ``setup(manager, machine, rng)`` — allocate regions *through the
+   manager under test* and prefill them.  This is the only point a
+   driver may call ``manager.mmap``/``prefault``; app-directed backends
+   additionally accept placement hints here (``manager.advise``, duck
+   typed — transparent backends simply lack the attribute).
+2. per tick: ``access_mix(now, dt)`` describes the traffic; after the
+   machine resolves it, ``on_progress(stream, result, now, dt)`` feeds
+   achieved throughput back, once per stream.
+3. ``finished(now)`` — checked after every tick; a driver returning
+   ``True`` self-terminates the run (fixed-duration drivers always
+   return ``False``).
+4. ``result()`` — application-level metrics once the run ends.
 """
 
 from __future__ import annotations
@@ -17,13 +36,7 @@ from repro.mem.access import AccessStream, StreamResult
 
 
 class Workload(ABC):
-    """One application driving the machine.
-
-    Lifecycle: ``setup`` (allocate + prefill through the manager under
-    test), then per tick ``access_mix`` -> engine resolution ->
-    ``on_progress`` feedback; ``result`` returns the application-level
-    metrics once the run ends.
-    """
+    """One application driving the machine (lifecycle: module docstring)."""
 
     #: label used in experiment tables
     name: str = "workload"

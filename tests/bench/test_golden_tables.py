@@ -3,8 +3,10 @@
 Every experiment's fast-preset table is committed under ``tests/golden/``
 as CSV.  These tests re-run each experiment serially (no cache, no pool)
 and compare the freshly assembled table against the committed snapshot
-cell-for-cell.  Any simulator change that moves a number shows up as a
-precise cell diff; refresh the snapshots deliberately with::
+cell-for-cell.  Each run also checks the conservation laws of
+:mod:`repro.core.invariants` on every machine it built, so every policy
+and experiment is covered.  Any simulator change that moves a number
+shows up as a precise cell diff; refresh the snapshots deliberately with::
 
     PYTHONPATH=src python -m repro.bench all -j 1 --no-cache --update-golden
 """
@@ -16,6 +18,8 @@ import pytest
 from repro.bench.registry import MODULES, get_module
 from repro.bench.runner import run_experiment
 from repro.bench.scenario import fast
+from repro.core.invariants import violations
+from repro.obs.runtime import capture
 
 GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
 
@@ -74,9 +78,16 @@ def test_golden_table(name):
     columns, rows = parse_golden(golden_path.read_text())
 
     # metrics=False: the snapshot check runs the same uninstrumented path
-    # as the default CLI (capture cannot change results either way).
-    table = run_experiment(get_module(name), name, fast(), jobs=1, cache=None,
-                           metrics=False)
+    # as the default CLI (capture cannot change results either way); the
+    # bare capture only records the machines for the invariant check.
+    with capture(trace=False, metrics=False) as cap:
+        table = run_experiment(get_module(name), name, fast(), jobs=1,
+                               cache=None, metrics=False)
+    for index, machine in enumerate(cap.machines()):
+        if machine.engine is not None:
+            assert violations(machine.engine) == [], (
+                f"{name}: machine {index} broke a conservation law"
+            )
 
     assert table.columns == columns, f"{name}: column set changed"
     assert len(table.rows) == len(rows), f"{name}: row count changed"

@@ -8,8 +8,8 @@ the bench experiments use.
 import pytest
 
 from repro.api import run_colocation
-from repro.bench.fault_smoke import colo_occupancy_violations
 from repro.colo import ColoManager, ColoWorkload, TenantSpec
+from repro.core.invariants import violations
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
 
@@ -66,7 +66,7 @@ class TestArbitration:
         # The scan tenant must actually have been squeezed for this check
         # to exercise the eviction path.
         assert counters.get("colo.evicted_pages", 0.0) > 0
-        assert colo_occupancy_violations(engine.manager, engine.machine) == []
+        assert violations(engine) == []
 
     def test_every_tenant_makes_progress(self):
         result = colo_run(two_tenants())
@@ -93,7 +93,7 @@ class TestChurn:
         counters = engine.machine.stats.counters()
         assert counters["colo.tenants_arrived"] == 3.0
         assert counters["colo.tenants_departed"] == 1.0
-        assert colo_occupancy_violations(colo, engine.machine) == []
+        assert violations(engine) == []
 
     def test_departed_tenant_keeps_its_slo_row(self):
         specs = two_tenants() + [

@@ -50,7 +50,7 @@ def snapshot(manager):
         manager.dax[Tier.NVM].used_pages,
         migrator.queued_bytes,
         migrator.busy,
-        migrator.retries_pending,
+        len(migrator.retry_requests()),
     )
 
 

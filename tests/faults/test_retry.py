@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.hemem import HeMemManager
+from repro.core.invariants import violations
 from repro.core.pagestore import NO_LIST, UNDER_MIGRATION
 from repro.mem.machine import Machine, MachineSpec
 from repro.mem.page import Tier
@@ -61,16 +62,6 @@ def fail_times(pid, n):
     return hook, state
 
 
-def occupancy_consistent(manager, machine):
-    for tier, dax in manager.dax.items():
-        assert dax.used_pages + dax.free_pages == dax.n_pages
-        mapped = sum(
-            int((region.mapped & (region.tier == tier)).sum())
-            for region in machine.regions
-        )
-        assert dax.used_pages == mapped
-
-
 class TestRetryThenSuccess:
     def test_completes_after_transient_failures(self):
         engine, manager, machine, region = make_setup()
@@ -90,7 +81,7 @@ class TestRetryThenSuccess:
         # Exactly one page changed hands; nothing leaked across retries.
         assert manager.dax[Tier.DRAM].free_pages == dram_free - 1
         assert manager.dax[Tier.NVM].free_pages == nvm_free + 1
-        occupancy_consistent(manager, machine)
+        assert violations(engine) == []
 
     def test_backoff_is_capped_exponential(self):
         with capture(trace=True, metrics=False) as cap:
@@ -130,7 +121,7 @@ class TestAbortRollsBack:
         assert (machine.stats.counter("hemem.migration_retries").value
                 == migrator.MAX_RETRIES)
         assert machine.stats.counter("hemem.pages_migrated").value == 0
-        occupancy_consistent(manager, machine)
+        assert violations(engine) == []
 
     def test_aborted_page_can_migrate_again(self):
         engine, manager, machine, region = make_setup()
@@ -143,7 +134,7 @@ class TestAbortRollsBack:
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
         assert Tier(region.tier[page]) is Tier.DRAM
-        occupancy_consistent(manager, machine)
+        assert violations(engine) == []
 
 
 class TestNoLeakNoDoubleFree:
@@ -167,7 +158,7 @@ class TestNoLeakNoDoubleFree:
         for pid in pids:
             assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         drain_direct(machine, manager)
-        occupancy_consistent(manager, machine)
+        assert violations(engine) == []
         migrated = machine.stats.counter("hemem.pages_migrated").value
         aborted = machine.stats.counter("hemem.migrations_aborted").value
         assert migrated + aborted == n_pages

@@ -2,12 +2,16 @@
 
 Driven through the real manager/migrator/tracker stack with the policy
 thread held off (ops are applied directly), so the accounting assertions
-are exact:
+are exact.  After every op, :func:`repro.core.invariants.violations`
+must report nothing; that covers:
 
 - a page holds at most one shadow, and shadow offsets are never shared;
-- shadow pages + live pages never exceed NVM capacity (exact conservation
-  at quiescent points: NVM used == mapped + shadows);
 - only DRAM-resident pages hold shadows;
+- exact conservation at every step: NVM used == mapped + in-flight +
+  shadows.
+
+On top of that, the tests here assert:
+
 - a dirty page is never demoted via the no-copy remap;
 - an aborted copy (injected failure) leaves the shadow columns untouched.
 """
@@ -16,6 +20,7 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.core.hemem import HeMemManager
+from repro.core.invariants import violations
 from repro.core.pagestore import DIRTY
 from repro.mem.machine import Machine, MachineSpec
 from repro.mem.page import Tier
@@ -47,38 +52,6 @@ def drain_direct(machine, manager, now, ticks=500):
         now += 0.01
     assert not manager.migrator.busy, "migration never settled"
     return now
-
-
-def check_shadow_invariants(manager, machine, quiescent=False):
-    """Structural invariants (hold at every step; conservation needs rest)."""
-    assert manager.tracker.violations() == []
-    store = manager.tracker.store
-    offsets = []
-    for pid in range(store.capacity):
-        off = store.shadow[pid]
-        if off >= 0:
-            offsets.append(off)
-            # Shadows exist only for DRAM-resident (promoted) pages.
-            assert store.tier[pid] == int(Tier.DRAM), (
-                f"pid {pid} holds a shadow while resident in NVM"
-            )
-    # At most one shadow per page and no shared shadow offsets.
-    assert len(offsets) == len(set(offsets))
-    assert len(offsets) == store.shadow_pages
-    nvm = manager.dax[Tier.NVM]
-    assert nvm.used_pages + nvm.free_pages == nvm.n_pages
-    assert nvm.used_pages <= nvm.n_pages  # live + shadows fit, always
-    if quiescent:
-        for tier, dax in manager.dax.items():
-            mapped = sum(
-                int((region.mapped & (region.tier == tier)).sum())
-                for region in machine.regions
-            )
-            extra = store.shadow_pages if tier == Tier.NVM else 0
-            assert dax.used_pages == mapped + extra, (
-                f"{tier.name}: {dax.used_pages} used != "
-                f"{mapped} mapped + {extra} shadows"
-            )
 
 
 op_strategy = st.lists(
@@ -141,9 +114,9 @@ class TestShadowInvariants:
                 machine.begin_tick(now, 0.01)
                 migrator.flush_retries(now)
             now += 0.01
-            check_shadow_invariants(manager, machine, quiescent=False)
+            assert violations(engine) == []
         now = drain_direct(machine, manager, now)
-        check_shadow_invariants(manager, machine, quiescent=True)
+        assert violations(engine) == []
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -166,7 +139,7 @@ class TestShadowInvariants:
         assert freed == min(reclaim, n_shadows)
         assert store.shadow_pages == n_shadows - freed
         assert manager.dax[Tier.NVM].free_pages == nvm_free + freed
-        check_shadow_invariants(manager, machine, quiescent=True)
+        assert violations(engine) == []
 
 
 class TestAbortLeavesShadowsAlone:
@@ -198,7 +171,7 @@ class TestAbortLeavesShadowsAlone:
         assert store.shadow_pages == snapshot_count
         # The page survived the abort in DRAM, still mapped.
         assert Tier(region.tier[victim_page]) is Tier.DRAM
-        check_shadow_invariants(manager, machine, quiescent=True)
+        assert violations(engine) == []
 
     @settings(max_examples=20, deadline=None)
     @given(fails=st.lists(st.booleans(), max_size=30))
@@ -221,4 +194,4 @@ class TestAbortLeavesShadowsAlone:
             assert migrator.migrate(pid, Tier.DRAM, 1.0)
         drain_direct(machine, manager, 1.0)
         assert list(store.shadow) == snapshot
-        check_shadow_invariants(manager, machine, quiescent=True)
+        assert violations(engine) == []
