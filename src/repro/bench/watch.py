@@ -3,8 +3,8 @@
 ``python -m repro.bench watch out.json.live`` re-collects the spool's
 JSONL channels every ``--interval`` wall seconds and renders one frame:
 tier occupancy, migration/eviction rates, PEBS loss, per-tenant SLO
-attainment, and controller actions — while the run that is writing the
-channels is still going.  ``--once`` prints a single frame and exits
+attainment, controller actions, and the live tenants — while the run
+that is writing the channels is still going.  ``--once`` prints a single frame and exits
 (scripts, tests); ``--plain`` suppresses the ANSI clear between frames.
 
 Everything is derived from the collected series (see
@@ -85,16 +85,27 @@ def _loss_rate(series: Dict[str, dict], labels_suffix: str = "") -> Optional[flo
     return dropped / total if total > 0 else 0.0
 
 
-def tenant_rows(series: Dict[str, dict]) -> List[Tuple[str, dict]]:
-    """Per-tenant latest values, keyed off any tenant-labelled series."""
+def tenant_rows(series: Dict[str, dict],
+                t_latest: Optional[float]) -> Tuple[List[Tuple[str, dict]],
+                                                    int]:
+    """Latest values of the tenants still publishing, and how many left.
+
+    Keyed off any tenant-labelled series.  A departed tenant's series end
+    at its departure, so a tenant is live when one of its series has a
+    point at ``t_latest`` (the section's latest instant).
+    """
     tenants: Dict[str, dict] = {}
+    live = set()
     for key, entry in series.items():
         name, labels = parse_key(key)
         tenant = labels.get("tenant")
         if tenant is None or not entry["values"]:
             continue
         tenants.setdefault(tenant, {})[name] = entry["values"][-1]
-    return sorted(tenants.items())
+        if entry["times"][-1] == t_latest:
+            live.add(tenant)
+    rows = sorted(item for item in tenants.items() if item[0] in live)
+    return rows, len(tenants) - len(rows)
 
 
 def _case_groups(series: Dict[str, dict]) -> List[Tuple[Optional[str],
@@ -186,9 +197,13 @@ def render_frame(collected: dict, now: Optional[str] = None) -> str:
                 for action, count in sorted(actions.items())
             )
             lines.append(f"  controller {summary}")
-        tenants = tenant_rows(series)
-        if tenants:
+        tenants, departed = tenant_rows(series, t_latest)
+        if departed:
+            lines.append(f"  tenants    ({len(tenants)} live, "
+                         f"{departed} departed)")
+        elif tenants:
             lines.append(f"  tenants    ({len(tenants)})")
+        if tenants:
             lines.append("    name      dram        hot         "
                          "evicted   slowdown  ok")
             shown = tenants[:16]

@@ -19,12 +19,12 @@ Three ways in:
 Traces round-trip through :mod:`repro.obs.replay`, which computes derived
 views (migration latencies, migration-rate time series, tier byte deltas).
 
-:mod:`repro.obs.telemetry` is the *in-run* counterpart: a live metric
-registry, one per machine (:meth:`MetricsSampler.registry`), that the
-sampler and the serving services write into and the sampler publishes
-on the window grid, spooled per worker and merged fleet-wide by a
-parent-side collector, with Prometheus export and the ``bench watch``
-dashboard on top (DESIGN.md §15).
+:mod:`repro.obs.telemetry` is the *in-run* counterpart: on the window
+grid each machine's :class:`MetricsSampler` exports one snapshot read
+from live state (its own samples, the stats registry, and the serving
+services' ``export_metrics``), spooled per worker and merged fleet-wide
+by a parent-side collector, with Prometheus export and the ``bench
+watch`` dashboard on top (DESIGN.md §15).
 
 On top of the event stream sits the diagnosis layer:
 :mod:`repro.obs.diagnose` folds a trace into per-page placement

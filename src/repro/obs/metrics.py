@@ -18,6 +18,9 @@ tenants never collide, and the machine-global loss rate aggregates every
 tenant's *private* PEBS unit (in colo runs the machine-global unit sits
 idle, which used to leave ``obs.pebs_loss_rate`` pinned at zero).
 
+With a :mod:`repro.obs.telemetry` session installed, the sampler also
+exports one snapshot per window boundary, read from live state.
+
 :func:`metrics_summary` snapshots a machine's whole stats registry —
 counters, histograms, and every recorded time series — into a JSON-able
 dict, which is what the bench runner caches per case and what
@@ -58,10 +61,10 @@ class MetricsSampler:
         self._colo = None
         self._tenant_series = {}
         self._tenant_last = {}
-        # live telemetry: a registry is created lazily the first tick a
+        # live telemetry: base labels are taken lazily the first tick a
         # session is installed; with no session the publish path is the
         # single module-attribute test in sample() below
-        self.telemetry = None
+        self._labels = None
         self._next_pub = 0.0
 
     def sample(self, now: float, dt: float) -> None:
@@ -104,17 +107,6 @@ class MetricsSampler:
                           queued, tenants)
             self._next_pub = session.next_boundary(now)
 
-    def registry(self, session):
-        """The machine's shared telemetry registry (created on first use).
-
-        The serving monitor and controller write into it too, so their
-        metrics ride this sampler's window-boundary snapshots.
-        """
-        registry = self.telemetry
-        if registry is None:
-            registry = self.telemetry = session.make_registry()
-        return registry
-
     def tenant_departed(self, name: str) -> None:
         """Finalize a departed tenant's bookkeeping (colo churn hook).
 
@@ -130,7 +122,14 @@ class MetricsSampler:
 
     def _publish(self, session, now, dram, nvm, sampled, dropped,
                  queued, tenants) -> None:
-        """Mirror the current machine state into the telemetry registry.
+        """Export one level snapshot of the machine's current state.
+
+        Every quantity is read from the state that holds it: the values
+        this tick sampled, the stats registry's allow-listed counters and
+        histograms, the active tenants, and each engine service that
+        defines ``export_metrics(put)`` (the serving monitor and
+        controller).  Nothing is kept between windows, so a departed
+        tenant's series end at its departure.
 
         Everything machine-global is *extensive* (bytes, cumulative
         counts): when a colo fleet is sharded across processes, each
@@ -141,32 +140,53 @@ class MetricsSampler:
         numerator/denominator counters — the frontends derive rates from
         window deltas.
         """
-        registry = self.registry(session)
-        registry.gauge_set("dram_bytes", dram)
-        registry.gauge_set("nvm_bytes", nvm)
-        registry.gauge_set("migration_queue_bytes", queued)
-        registry.counter_set("pebs_sampled_total", sampled)
-        registry.counter_set("pebs_dropped_total", dropped)
+        if self._labels is None:
+            self._labels = session.publisher_labels()
+        base = self._labels
+        metric_key = telemetry.metric_key
+        counters = {}
+        gauges = {}
+
+        def put(name, value, **labels):
+            """Record ``name{labels}``: a counter if it ends in ``_total``."""
+            section = counters if name.endswith("_total") else gauges
+            section[metric_key(name, {**base, **labels})] = float(value)
+
+        put("dram_bytes", dram)
+        put("nvm_bytes", nvm)
+        put("migration_queue_bytes", queued)
+        put("pebs_sampled_total", sampled)
+        put("pebs_dropped_total", dropped)
         stats = self.machine.stats
-        telemetry.publish_stats_counters(registry, stats.counters())
-        telemetry.publish_stats_histograms(registry, stats.histograms())
+        for name, value in stats.counters().items():
+            scoped = _stats_metric(name, telemetry.STATS_COUNTERS)
+            if scoped is not None:
+                put(scoped[0], value, scope=scoped[1])
+        histograms = {}
+        for name, snapshot in stats.histograms().items():
+            scoped = _stats_metric(name, telemetry.STATS_HISTOGRAMS)
+            if scoped is not None:
+                hist = dict(snapshot)
+                del hist["name"]
+                histograms[metric_key(scoped[0],
+                                      {**base, "scope": scoped[1]})] = hist
         if tenants:
             for tenant in tenants:
                 name = tenant.name
                 t_dram, t_nvm = self._split(tenant.manager.managed_regions())
-                registry.gauge_set("dram_bytes", t_dram, tenant=name)
-                registry.gauge_set("nvm_bytes", t_nvm, tenant=name)
-                registry.gauge_set("hot_bytes", float(tenant.hot_bytes()),
-                                   tenant=name)
-                registry.counter_set("evicted_pages_total",
-                                     float(tenant.evicted_pages), tenant=name)
+                put("dram_bytes", t_dram, tenant=name)
+                put("nvm_bytes", t_nvm, tenant=name)
+                put("hot_bytes", tenant.hot_bytes(), tenant=name)
+                put("evicted_pages_total", tenant.evicted_pages, tenant=name)
                 last = self._tenant_last.get(name)
                 if last is not None:
-                    registry.counter_set("pebs_sampled_total", last[0],
-                                         tenant=name)
-                    registry.counter_set("pebs_dropped_total", last[1],
-                                         tenant=name)
-        session.emit(registry, now)
+                    put("pebs_sampled_total", last[0], tenant=name)
+                    put("pebs_dropped_total", last[1], tenant=name)
+        for service in self.machine.engine.services:
+            export = getattr(service, "export_metrics", None)
+            if export is not None:
+                export(put)
+        session.emit(now, counters, gauges, histograms)
 
     # -- helpers ---------------------------------------------------------------
     def _split(self, regions):
@@ -224,6 +244,15 @@ class MetricsSampler:
             self._tenant_last[name] = (sampled, dropped)
             total = d_sampled + d_dropped
             loss_s.record(now, d_dropped / total if total else 0.0)
+
+
+def _stats_metric(name, table):
+    """``(metric, scope)`` for a stats name ``<scope><suffix>`` whose suffix
+    the export table lists, else ``None``."""
+    for suffix, metric in table.items():
+        if name.endswith(suffix):
+            return metric, name[: -len(suffix)]
+    return None
 
 
 def metrics_summary(machine) -> dict:

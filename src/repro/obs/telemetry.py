@@ -2,27 +2,27 @@
 
 Everything else in ``repro.obs`` is post-hoc — traces, replay, health
 reports all exist only after the run finishes.  This module is the
-*in-run* half: a lightweight registry of counters/gauges/histograms that
-the samplers and serving services publish into at window boundaries, a
-cross-process spool protocol so sharded runs produce one coherent view,
-and two live frontends (a Prometheus text exporter and the ``bench
-watch`` dashboard).
+*in-run* half: an exporter that the metrics sampler drives at window
+boundaries (it reads each quantity from the state that already holds it
+and keeps no copy between windows), a cross-process spool protocol so
+sharded runs produce one coherent view, and two live frontends (a
+Prometheus text exporter and the ``bench watch`` dashboard).
 
 Pieces, bottom up:
 
 - :func:`metric_key` — canonical ``name{label="v",...}`` series keys
   (sorted labels, Prometheus-style), so merged series compare key for
-  key across runs and shard layouts.
-- :class:`TelemetryRegistry` — current values of counters (cumulative),
-  gauges (instantaneous), and histogram snapshots, each under a metric
-  key.  :meth:`TelemetryRegistry.snapshot` is a JSON-able level snapshot
-  of the whole registry at one instant.
+  key across runs and shard layouts.  Names ending in ``_total`` are
+  cumulative counters, everything else an instantaneous gauge.
+- :data:`STATS_COUNTERS` / :data:`STATS_HISTOGRAMS` — the export format
+  of the stats registry's allow-listed counters and histograms.
 - :class:`TelemetrySession` + :func:`session` — the process-global
   opt-in scope, mirroring :mod:`repro.obs.runtime`'s capture discipline:
-  with no session installed (:func:`active` is ``None``) every publish
+  with no session installed (:func:`active` is ``None``) the publish
   site reduces to one attribute test, allocating and formatting nothing.
   Each worker process installs its own session around its case, spooling
-  snapshots to a per-worker JSONL *channel* (:class:`JsonlSink`).
+  level snapshots (every metric's value at one instant) to a per-worker
+  JSONL *channel* (:class:`JsonlSink`).
 - :class:`Collector` — the parent-side merge: reads every channel under
   a spool root and folds the snapshots into fleet-wide series.  Keys
   carrying disjoint labels (per-tenant series of a sharded fleet) merge
@@ -61,8 +61,8 @@ from repro.obs import spans
 #: instants and their merged series line up point for point.
 DEFAULT_INTERVAL = 0.5
 
-#: stats-registry counter suffixes mirrored into telemetry at each window
-#: boundary, mapped to their telemetry metric name.  The scope prefix
+#: stats-registry counter suffixes exported at each window boundary,
+#: mapped to their telemetry metric name.  The scope prefix
 #: (manager or tenant name) becomes a ``scope`` label, so per-tenant
 #: counters of a sharded fleet merge by label union.
 STATS_COUNTERS = {
@@ -75,7 +75,7 @@ STATS_COUNTERS = {
     ".evicted_pages": "evicted_pages_total",
 }
 
-#: stats-registry histogram suffixes mirrored the same way
+#: stats-registry histogram suffixes exported the same way
 STATS_HISTOGRAMS = {
     ".migration_latency_s": "migration_latency_seconds",
 }
@@ -114,69 +114,6 @@ def parse_key(key: str) -> Tuple[str, Dict[str, str]]:
                 .replace(r"\\", "\\")
             )
     return name, labels
-
-
-class TelemetryRegistry:
-    """Current values of one publisher's metrics, by canonical key.
-
-    ``base_labels`` are folded into every key (the session hands the
-    second and later machines of one case a ``run`` label so sequential
-    engines — whose virtual clocks each restart at zero — never
-    interleave the same series).
-    """
-
-    __slots__ = ("base_labels", "counters", "gauges", "histograms")
-
-    def __init__(self, base_labels: Optional[Dict[str, str]] = None):
-        self.base_labels = dict(base_labels or {})
-        self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
-        self.histograms: Dict[str, dict] = {}
-
-    def _key(self, name: str, labels: Dict[str, str]) -> str:
-        if self.base_labels:
-            merged = dict(self.base_labels)
-            merged.update(labels)
-            labels = merged
-        return metric_key(name, labels)
-
-    # -- writes ---------------------------------------------------------------
-    def counter_set(self, name: str, value: float, **labels: str) -> None:
-        """Set a cumulative counter to its latest total (monotone by use)."""
-        self.counters[self._key(name, labels)] = float(value)
-
-    def counter_add(self, name: str, amount: float = 1.0, **labels: str) -> None:
-        key = self._key(name, labels)
-        self.counters[key] = self.counters.get(key, 0.0) + float(amount)
-
-    def gauge_set(self, name: str, value: float, **labels: str) -> None:
-        self.gauges[self._key(name, labels)] = float(value)
-
-    def histogram_set(self, name: str, snapshot: dict, **labels: str) -> None:
-        """Record a histogram state (``sim.stats.Histogram.to_dict`` shape)."""
-        self.histograms[self._key(name, labels)] = {
-            "bounds": list(snapshot["bounds"]),
-            "counts": list(snapshot["counts"]),
-            "count": snapshot["count"],
-            "total": snapshot["total"],
-            "min": snapshot["min"],
-            "max": snapshot["max"],
-        }
-
-    # -- reads ----------------------------------------------------------------
-    def snapshot(self, t: float) -> dict:
-        """Level snapshot of every metric at virtual time ``t``."""
-        out: Dict[str, Any] = {"kind": "snapshot", "t": t,
-                               "counters": dict(self.counters),
-                               "gauges": dict(self.gauges)}
-        if self.histograms:
-            out["histograms"] = {
-                key: dict(hist) for key, hist in self.histograms.items()
-            }
-        return out
-
-    def __len__(self) -> int:
-        return len(self.counters) + len(self.gauges) + len(self.histograms)
 
 
 # ---------------------------------------------------------------------------
@@ -247,12 +184,11 @@ def profiling_active() -> bool:
 
 
 class TelemetrySession:
-    """One process's telemetry scope: registries, cadence, and the sink.
+    """One process's telemetry scope: publisher labels, cadence, the sink.
 
-    Publishers call :meth:`make_registry` once, write into their registry
-    between window boundaries, and call :meth:`emit` at each boundary.
-    ``interval`` is virtual seconds on an aligned grid (see
-    :func:`next_boundary`).
+    Each publisher (machine) asks :meth:`publisher_labels` once and calls
+    :meth:`emit` with its snapshot at each window boundary.  ``interval``
+    is virtual seconds on an aligned grid (see :meth:`next_boundary`).
     """
 
     def __init__(self, sink, interval: float = DEFAULT_INTERVAL,
@@ -264,22 +200,29 @@ class TelemetrySession:
         self.profile = profile
         self.snapshots = 0
         self.profiles = 0
-        self._registries = 0
+        self._publishers = 0
 
-    def make_registry(self) -> TelemetryRegistry:
-        """A registry for one publisher (machine).  The first is unlabelled;
-        later ones get a ``run`` label (their virtual clocks restart)."""
-        index = self._registries
-        self._registries += 1
-        base = {} if index == 0 else {"run": str(index)}
-        return TelemetryRegistry(base)
+    def publisher_labels(self) -> Dict[str, str]:
+        """Base labels for one publisher's keys.  The first is unlabelled;
+        later ones get a ``run`` label, so sequential engines (whose
+        virtual clocks each restart at zero) never interleave a series."""
+        index = self._publishers
+        self._publishers += 1
+        return {} if index == 0 else {"run": str(index)}
 
     def next_boundary(self, now: float) -> float:
         """First grid point strictly after ``now`` (grid = k * interval)."""
         return (int(now / self.interval + 1e-9) + 1) * self.interval
 
-    def emit(self, registry: TelemetryRegistry, t: float) -> None:
-        self.sink.emit(registry.snapshot(t))
+    def emit(self, t: float, counters: Dict[str, float],
+             gauges: Dict[str, float],
+             histograms: Optional[Dict[str, dict]] = None) -> None:
+        """Spool one level snapshot: every metric's value at time ``t``."""
+        row: Dict[str, Any] = {"kind": "snapshot", "t": t,
+                               "counters": counters, "gauges": gauges}
+        if histograms:
+            row["histograms"] = histograms
+        self.sink.emit(row)
         self.snapshots += 1
 
     def add_profile(self, payload: dict) -> None:
@@ -313,37 +256,6 @@ def session(sink, interval: float = DEFAULT_INTERVAL,
             profile: bool = False) -> TelemetrySession:
     """Shorthand: ``with telemetry.session(JsonlSink(path)): ...``."""
     return TelemetrySession(sink, interval=interval, profile=profile)
-
-
-# ---------------------------------------------------------------------------
-# shared publish helpers (used by MetricsSampler at window boundaries)
-# ---------------------------------------------------------------------------
-
-def publish_stats_counters(registry: TelemetryRegistry,
-                           counters: Dict[str, float]) -> None:
-    """Mirror the allow-listed stats counters into ``registry``.
-
-    ``<scope>.<suffix>`` becomes ``<metric>{scope="<scope>"}`` — scopes
-    are manager/tenant names, so a sharded fleet's counters merge by
-    label union and the machine-global sums stay exact.
-    """
-    counter_set = registry.counter_set
-    for name, value in counters.items():
-        for suffix, metric in STATS_COUNTERS.items():
-            if name.endswith(suffix):
-                counter_set(metric, value, scope=name[: -len(suffix)])
-                break
-
-
-def publish_stats_histograms(registry: TelemetryRegistry,
-                             histograms: Dict[str, dict]) -> None:
-    """Mirror the allow-listed stats histograms into ``registry``."""
-    for name, snapshot in histograms.items():
-        for suffix, metric in STATS_HISTOGRAMS.items():
-            if name.endswith(suffix):
-                registry.histogram_set(metric, snapshot,
-                                       scope=name[: -len(suffix)])
-                break
 
 
 # ---------------------------------------------------------------------------

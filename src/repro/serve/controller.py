@@ -41,7 +41,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.mem.page import Tier
-from repro.obs import telemetry
 from repro.obs.events import ControllerAction
 from repro.obs.health import SloBurn
 from repro.sim.service import Service
@@ -95,22 +94,22 @@ class SloController(Service):
         self._last_ops: Dict[str, float] = {}
         self._burn_streak: Dict[str, int] = {}
         self._clean_streak: Dict[str, int] = {}
-        self.actions = 0
-        self._counter = None
-        self._telemetry = None
+        #: adjustments made so far, by action label
+        self.action_counts: Dict[str, int] = {}
+
+    @property
+    def actions(self) -> int:
+        """Total adjustments made so far."""
+        return sum(self.action_counts.values())
 
     def run(self, engine, now: float, dt: float) -> float:
-        if self._counter is None:
-            scoped = self.colo.machine.stats.scoped("serve")
-            self._counter = scoped.counter("controller_actions")
-        # Live telemetry: bind the machine's shared registry once per
-        # window (one active() test when disabled); _record then counts
-        # each adjustment under its action label.
-        session = telemetry.active()
-        if session is not None and engine.metrics is not None:
-            self._telemetry = engine.metrics.registry(session)
         self.control(now)
         return 0.0
+
+    def export_metrics(self, put) -> None:
+        """Telemetry export: the per-action adjustment counts."""
+        for action, count in self.action_counts.items():
+            put("controller_actions_total", count, action=action)
 
     # -- one control pass -----------------------------------------------------
     def control(self, now: float) -> None:
@@ -235,12 +234,7 @@ class SloController(Service):
         self._record(tenant, now, "decay", "")
 
     def _record(self, tenant, now: float, action: str, severity: str) -> None:
-        self.actions += 1
-        if self._counter is not None:
-            self._counter.add(1)
-        if self._telemetry is not None:
-            self._telemetry.counter_add("controller_actions_total",
-                                        action=action)
+        self.action_counts[action] = self.action_counts.get(action, 0) + 1
         tracer = self.colo.machine.tracer
         if tracer is not None:
             tracer.emit(ControllerAction(

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from repro.obs import telemetry
 from repro.sim.service import Service
 
 #: day-phase labels (quarters of the diurnal period, q1 = around midnight)
@@ -47,6 +46,9 @@ class FleetMonitor(Service):
         self.slowdown_cap = slowdown_cap
         #: per-tenant cumulative-op baseline at the previous window edge
         self._last_ops: Dict[str, float] = {}
+        #: per-tenant slowdown of the latest measured window (pruned with
+        #: ``_last_ops`` when the tenant departs)
+        self._last_slowdown: Dict[str, float] = {}
         self._last_evicted = 0.0
         #: measured windows whose fleet eviction delta reached storm_pages
         self.storm_windows = 0
@@ -75,14 +77,6 @@ class FleetMonitor(Service):
         colo = self.colo
         measuring = now > self.warmup + 1e-9
         phase = self._phase(now)
-        # Live telemetry: the monitor writes into the machine's shared
-        # registry (the sampler publishes it at the same window boundary,
-        # services running before bookkeeping).  One active() test per
-        # window when disabled.
-        session = telemetry.active()
-        registry = None
-        if session is not None and engine.metrics is not None:
-            registry = engine.metrics.registry(session)
         active_names = set()
         for tenant in colo.active_tenants():
             name = tenant.name
@@ -90,8 +84,6 @@ class FleetMonitor(Service):
             ops = tenant.workload.total_ops
             prev = self._last_ops.get(name)
             self._last_ops[name] = ops
-            if registry is not None:
-                registry.counter_set("ops_total", float(ops), tenant=name)
             slo = tenant.spec.slo_ops_per_sec
             if not measuring or slo is None or prev is None:
                 continue
@@ -102,11 +94,7 @@ class FleetMonitor(Service):
                 slowdown = min(slo / rate, self.slowdown_cap)
             else:
                 slowdown = self.slowdown_cap
-            if registry is not None:
-                registry.gauge_set("slo_slowdown", slowdown, tenant=name)
-                registry.gauge_set("slo_attained",
-                                   1.0 if slowdown <= 1.0 else 0.0,
-                                   tenant=name)
+            self._last_slowdown[name] = slowdown
             for key in ("", phase):
                 bucket = self._slowdowns.setdefault(key, [])
                 bucket.append(slowdown)
@@ -117,6 +105,7 @@ class FleetMonitor(Service):
         for name in list(self._last_ops):
             if name not in active_names:
                 del self._last_ops[name]
+                self._last_slowdown.pop(name, None)
         evicted = float(sum(t.evicted_pages for t in colo.all_tenants()))
         delta = evicted - self._last_evicted
         self._last_evicted = evicted
@@ -124,16 +113,20 @@ class FleetMonitor(Service):
             self._windows += 1
             if delta >= self.storm_pages:
                 self.storm_windows += 1
-        if registry is not None:
-            registry.counter_set("slo_tenant_windows_total",
-                                 float(self._samples.get("", 0)))
-            registry.counter_set("slo_attained_windows_total",
-                                 float(self._attained.get("", 0)))
-            registry.counter_set("arbiter_evicted_pages_total", evicted)
-            attainment = self._ratio("")
-            if attainment is not None:
-                registry.gauge_set("slo_attainment", attainment)
         return 0.0
+
+    def export_metrics(self, put) -> None:
+        """Telemetry export of the scoreboard as of the latest window."""
+        for name, ops in self._last_ops.items():
+            put("ops_total", ops, tenant=name)
+        for name, slowdown in self._last_slowdown.items():
+            put("slo_slowdown", slowdown, tenant=name)
+            put("slo_attained", 1.0 if slowdown <= 1.0 else 0.0, tenant=name)
+        put("slo_tenant_windows_total", self._samples.get("", 0))
+        put("slo_attained_windows_total", self._attained.get("", 0))
+        attainment = self._ratio("")
+        if attainment is not None:
+            put("slo_attainment", attainment)
 
     # -- reduction ------------------------------------------------------------
     def fleet_summary(self, day_seconds: Optional[float] = None) -> dict:

@@ -137,6 +137,30 @@ class TestRenderFrame:
         assert "tenants    (20)" in frame
         assert "... and 4 more" in frame
 
+    def test_departed_tenants_leave_the_table(self):
+        # a departed tenant's series end at its departure; the table keeps
+        # only tenants with a point at the section's latest instant
+        series = {
+            'dram_bytes{tenant="web-000"}': _series(
+                "gauge", [(0.5, GIB), (1.0, GIB)]),
+            'dram_bytes{tenant="web-001"}': _series("gauge", [(0.5, GIB)]),
+            'ops_total{tenant="web-002"}': _series("counter", [(0.5, 9.0)]),
+        }
+        frame = render_frame(_doc(series))
+        assert "tenants    (1 live, 2 departed)" in frame
+        rows = [line.split()[0] for line in frame.splitlines()
+                if line.startswith("    web-")]
+        assert rows == ["web-000"]
+
+    def test_all_departed_shows_only_the_count(self):
+        series = {
+            "dram_bytes": _series("gauge", [(0.5, GIB), (1.0, GIB)]),
+            'dram_bytes{tenant="web-000"}': _series("gauge", [(0.5, GIB)]),
+        }
+        frame = render_frame(_doc(series))
+        assert "tenants    (0 live, 1 departed)" in frame
+        assert "slowdown" not in frame  # no table header without rows
+
     def test_case_labelled_series_get_their_own_sections(self):
         # non-sum channels (fig9's systems) arrive with case-labelled
         # keys; each case renders as its own section with bare lookups
@@ -177,6 +201,27 @@ class TestWatchCli:
         assert "== fig9/hemem" in out
         assert "DRAM 2.00 GiB" in out
         assert "\x1b[2J" not in out  # --once implies no ANSI clear
+
+    def test_once_on_finished_spool_lists_live_tenants(self, tmp_path,
+                                                       capsys):
+        root = tmp_path / "out.json.live"
+        channel = root / "fleet" / "slo.jsonl"
+        channel.parent.mkdir(parents=True)
+        rows = [
+            {"kind": "channel", "version": 1, "labels": {"case": "slo"}},
+            {"kind": "snapshot", "t": 0.5, "counters": {}, "gauges": {
+                'dram_bytes{tenant="a"}': GIB,
+                'dram_bytes{tenant="b"}': GIB}},
+            {"kind": "snapshot", "t": 1.0, "counters": {}, "gauges": {
+                'dram_bytes{tenant="a"}': 2.0 * GIB}},
+        ]
+        channel.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        assert watch_main([str(root), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "tenants    (1 live, 1 departed)" in out
+        assert "2.00 GiB" in out
+        assert not any(line.startswith("    b ")
+                       for line in out.splitlines())
 
     def test_once_on_empty_dir(self, tmp_path, capsys):
         assert watch_main([str(tmp_path), "--once"]) == 0

@@ -5,12 +5,14 @@ import urllib.request
 
 import pytest
 
+import repro.obs as obs
+from repro.core.hemem import HeMemManager
+from repro.mem.machine import MachineSpec
 from repro.obs import telemetry
 from repro.obs.telemetry import (
     Collector,
     JsonlSink,
     MemorySink,
-    TelemetryRegistry,
     TelemetrySession,
     exposition_errors,
     merge_histogram,
@@ -21,6 +23,7 @@ from repro.obs.telemetry import (
     serve_metrics,
     snapshot_schema_errors,
 )
+from repro.workloads.gups import GupsConfig
 
 
 class TestMetricKeys:
@@ -48,38 +51,68 @@ class TestMetricKeys:
             parse_key("")
 
 
-class TestRegistry:
-    def test_counter_gauge_histogram(self):
-        reg = TelemetryRegistry()
-        reg.counter_set("ops_total", 5, tenant="t0")
-        reg.counter_add("actions_total", 2, action="boost")
-        reg.counter_add("actions_total", action="boost")
-        reg.gauge_set("dram_bytes", 17.0)
-        reg.histogram_set("lat", {"bounds": [1.0], "counts": [2, 1],
-                                  "count": 3, "total": 2.5,
-                                  "min": 0.1, "max": 1.4})
-        snap = reg.snapshot(0.5)
-        assert snap["kind"] == "snapshot" and snap["t"] == 0.5
-        assert snap["counters"]['ops_total{tenant="t0"}'] == 5.0
-        assert snap["counters"]['actions_total{action="boost"}'] == 3.0
-        assert snap["gauges"]["dram_bytes"] == 17.0
-        assert snap["histograms"]["lat"]["count"] == 3
-        assert len(reg) == 4
+def _sampled_runs(n):
+    """Spool ``n`` short sequential migratory GUPS runs in one session."""
+    from tests.conftest import run_gups_quick
 
-    def test_base_labels_fold_into_every_key(self):
-        reg = TelemetryRegistry({"run": "1"})
-        reg.gauge_set("g", 1.0)
-        reg.counter_set("c", 2.0, tenant="t0")
-        snap = reg.snapshot(0.0)
-        assert 'g{run="1"}' in snap["gauges"]
-        assert 'c{run="1",tenant="t0"}' in snap["counters"]
+    spec = MachineSpec().scaled(2048)
+    gups = GupsConfig(working_set=int(spec.dram_capacity * 2), threads=4,
+                      hot_set=int(spec.dram_capacity * 0.25))
+    sink = MemorySink()
+    with telemetry.session(sink):
+        with obs.capture(trace=False, metrics=True):
+            for _ in range(n):
+                run_gups_quick(HeMemManager(), gups, duration=1.0,
+                               warmup=0.5, scale=2048)
+    return sink
 
-    def test_snapshot_is_a_copy(self):
-        reg = TelemetryRegistry()
-        reg.gauge_set("g", 1.0)
-        snap = reg.snapshot(0.0)
-        reg.gauge_set("g", 2.0)
-        assert snap["gauges"]["g"] == 1.0
+
+class TestSnapshotRows:
+    def test_emitted_row_shape(self):
+        sink = MemorySink()
+        hist = {"bounds": [1.0], "counts": [2, 1], "count": 3,
+                "total": 2.5, "min": 0.1, "max": 1.4}
+        with telemetry.session(sink) as session:
+            session.emit(0.5, {'ops_total{tenant="t0"}': 5.0},
+                         {"dram_bytes": 17.0}, {"lat": hist})
+        [row] = sink.rows
+        assert row == {"kind": "snapshot", "t": 0.5,
+                       "counters": {'ops_total{tenant="t0"}': 5.0},
+                       "gauges": {"dram_bytes": 17.0},
+                       "histograms": {"lat": hist}}
+        assert session.snapshots == 1
+
+    def test_no_histograms_section_when_empty(self):
+        sink = MemorySink()
+        with telemetry.session(sink) as session:
+            session.emit(0.0, {}, {"g": 1.0}, {})
+            session.emit(0.5, {}, {"g": 2.0})
+        assert all("histograms" not in row for row in sink.rows)
+        assert [row["t"] for row in sink.rows] == [0.0, 0.5]
+
+    def test_second_machine_keys_carry_run_label(self):
+        # two sequential engines in one session: the second machine's
+        # series carry run="1" so their restarted clocks never interleave
+        sink = _sampled_runs(2)
+        keys = [set(row["gauges"]) for row in sink.rows]
+        assert "dram_bytes" in keys[0]
+        assert 'dram_bytes{run="1"}' in keys[-1]
+        assert "dram_bytes" not in keys[-1]
+        counters = sink.rows[-1]["counters"]
+        assert 'pages_migrated_total{run="1",scope="hemem"}' in counters
+
+    def test_rows_do_not_alias(self):
+        # each window's row is built from fresh dicts: a later window
+        # never rewrites what an earlier row already handed the sink
+        rows = _sampled_runs(1).rows
+        first, last = rows[0], rows[-1]
+        assert first["gauges"] is not last["gauges"]
+        assert first["counters"] is not last["counters"]
+        key = 'pages_migrated_total{scope="hemem"}'
+        assert first["counters"][key] < last["counters"][key]
+        hist = 'migration_latency_seconds{scope="hemem"}'
+        assert first["histograms"][hist]["count"] \
+            < last["histograms"][hist]["count"]
 
 
 class TestSession:
@@ -100,12 +133,10 @@ class TestSession:
             with pytest.raises(RuntimeError):
                 TelemetrySession(MemorySink()).__enter__()
 
-    def test_registries_get_run_labels_after_first(self):
+    def test_publisher_labels_run_label_after_first(self):
         with telemetry.session(MemorySink()) as session:
-            first = session.make_registry()
-            second = session.make_registry()
-        assert first.base_labels == {}
-        assert second.base_labels == {"run": "1"}
+            labels = [session.publisher_labels() for _ in range(3)]
+        assert labels == [{}, {"run": "1"}, {"run": "2"}]
 
     def test_next_boundary_grid_aligned(self):
         session = TelemetrySession(MemorySink(), interval=0.5)
@@ -118,9 +149,7 @@ class TestSession:
     def test_emit_counts_and_reaches_sink(self):
         sink = MemorySink()
         with telemetry.session(sink) as session:
-            reg = session.make_registry()
-            reg.gauge_set("g", 1.0)
-            session.emit(reg, 0.0)
+            session.emit(0.0, {}, {"g": 1.0})
             session.add_profile({"label": "w/m", "ticks": 3,
                                  "sections": {}, "pagestore": {}})
         assert session.snapshots == 1 and session.profiles == 1

@@ -3,12 +3,14 @@
 from types import SimpleNamespace
 
 import repro.obs as obs
+from repro.api import run_colocation
 from repro.core.hemem import HeMemManager
 from repro.mem.machine import MachineSpec
 from repro.obs import telemetry
 from repro.obs.metrics import MetricsSampler
-from repro.obs.telemetry import MemorySink, parse_key
+from repro.obs.telemetry import MemorySink, metric_key, parse_key
 from repro.sim.stats import StatsRegistry
+from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig
 
 WINDOW = 0.5
@@ -101,11 +103,37 @@ class TestProfileSpool:
         assert not any(r["kind"] == "profile" for r in sink.rows)
 
 
-def _engine_stub():
-    """An engine whose sampler sits on a stand-in machine (monitor and
-    controller only touch ``engine.metrics.registry``)."""
-    machine = SimpleNamespace(stats=StatsRegistry())
-    return SimpleNamespace(metrics=MetricsSampler(machine))
+def _recording_put():
+    """A ``put`` that records ``metric_key(name, labels) -> value``."""
+    recorded = {}
+
+    def put(name, value, **labels):
+        recorded[metric_key(name, labels)] = value
+
+    return put, recorded
+
+
+def _sampler_exports(service, now):
+    """Tick a sampler on an empty stand-in machine whose engine runs
+    ``service``; return the sampler and the ``export_metrics`` calls it
+    made (the service's own export is wrapped, not replaced)."""
+    calls = []
+    export = service.export_metrics
+
+    def recording_export(put):
+        calls.append(now)
+        export(put)
+
+    service.export_metrics = recording_export
+    machine = SimpleNamespace(
+        stats=StatsRegistry(), regions=[],
+        pebs=SimpleNamespace(records_sampled=0, records_dropped=0),
+        movers=lambda: [],
+        engine=SimpleNamespace(services=[service], manager=None),
+    )
+    sampler = MetricsSampler(machine)
+    sampler.sample(now, WINDOW)
+    return sampler, calls
 
 
 def _make_tenant(name, slo=1e6, ops=0.0):
@@ -121,88 +149,134 @@ def _make_tenant(name, slo=1e6, ops=0.0):
 
 
 class TestFleetMonitorPublish:
-    def test_tenant_and_fleet_series(self):
+    def _monitor(self, tenants):
         from repro.serve import FleetMonitor
 
+        colo = SimpleNamespace(active_tenants=lambda: list(tenants),
+                               all_tenants=lambda: list(tenants))
+        return FleetMonitor(colo, window=WINDOW, warmup=0.0,
+                            storm_pages=100)
+
+    def test_tenant_and_fleet_series(self):
         tenant = _make_tenant("web-000")
-        colo = SimpleNamespace(active_tenants=lambda: [tenant],
-                               all_tenants=lambda: [tenant])
-        monitor = FleetMonitor(colo, window=WINDOW, warmup=0.0,
-                               storm_pages=100)
-        engine = _engine_stub()
-        with telemetry.session(MemorySink()):
-            monitor.run(engine, 0.5, WINDOW)  # baseline window
-            tenant.workload.total_ops += 6e5  # rate 1.2e6 >= slo
-            monitor.run(engine, 1.0, WINDOW)
-            registry = engine.metrics.telemetry
-            assert registry is not None
-            snap = registry.snapshot(1.0)
-        assert snap["counters"]['ops_total{tenant="web-000"}'] == 6e5
-        assert snap["gauges"]['slo_attained{tenant="web-000"}'] == 1.0
-        assert snap["gauges"]['slo_slowdown{tenant="web-000"}'] == 1.0
-        assert snap["counters"]["slo_tenant_windows_total"] == 1.0
-        assert snap["counters"]["slo_attained_windows_total"] == 1.0
-        assert snap["gauges"]["slo_attainment"] == 1.0
-        assert snap["counters"]["arbiter_evicted_pages_total"] == 0.0
+        monitor = self._monitor([tenant])
+        monitor.run(None, 0.5, WINDOW)  # baseline window
+        tenant.workload.total_ops += 6e5  # rate 1.2e6 >= slo
+        monitor.run(None, 1.0, WINDOW)
+        put, got = _recording_put()
+        monitor.export_metrics(put)
+        assert got == {
+            'ops_total{tenant="web-000"}': 6e5,
+            'slo_attained{tenant="web-000"}': 1.0,
+            'slo_slowdown{tenant="web-000"}': 1.0,
+            "slo_tenant_windows_total": 1,
+            "slo_attained_windows_total": 1,
+            "slo_attainment": 1.0,
+        }
+
+    def test_departed_tenant_leaves_the_export(self):
+        web, batch = _make_tenant("web-000"), _make_tenant("web-001")
+        tenants = [web, batch]
+        monitor = self._monitor(tenants)
+        monitor.run(None, 0.5, WINDOW)
+        monitor.run(None, 1.0, WINDOW)
+        tenants.remove(batch)
+        monitor.run(None, 1.5, WINDOW)
+        put, got = _recording_put()
+        monitor.export_metrics(put)
+        assert not any("web-001" in key for key in got)
+        assert 'slo_slowdown{tenant="web-000"}' in got
+        # the window totals keep the departed tenant's history
+        assert got["slo_tenant_windows_total"] == 3
 
     def test_no_session_publishes_nothing(self):
-        from repro.serve import FleetMonitor
+        monitor = self._monitor([_make_tenant("web-000")])
+        monitor.run(None, 0.5, WINDOW)
+        sampler, calls = _sampler_exports(monitor, 0.5)
+        assert calls == []
+        assert sampler._labels is None
+        # the same tick under a session does ask for the export
+        sink = MemorySink()
+        with telemetry.session(sink):
+            sampler, calls = _sampler_exports(monitor, 0.5)
+        assert calls == [0.5]
+        (snap,) = [r for r in sink.rows if r["kind"] == "snapshot"]
+        assert 'ops_total{tenant="web-000"}' in snap["counters"]
 
-        tenant = _make_tenant("web-000")
-        colo = SimpleNamespace(active_tenants=lambda: [tenant],
-                               all_tenants=lambda: [tenant])
-        monitor = FleetMonitor(colo, window=WINDOW, warmup=0.0,
-                               storm_pages=100)
-        engine = _engine_stub()
-        monitor.run(engine, 0.5, WINDOW)
-        assert engine.metrics.telemetry is None
+    def test_no_window_measured_exports_no_attainment(self):
+        monitor = self._monitor([_make_tenant("web-000")])
+        monitor.run(None, 0.5, WINDOW)  # baseline only: nothing measured
+        put, got = _recording_put()
+        monitor.export_metrics(put)
+        assert "slo_attainment" not in got
+        assert got["slo_tenant_windows_total"] == 0
 
 
 class TestControllerPublish:
-    def test_actions_counted_by_label(self):
+    def _controller(self, tenant):
         from repro.mem.page import Tier
         from repro.serve import SloController
 
-        tenant = _make_tenant("web-000")
         colo = SimpleNamespace(
             active_tenants=lambda: [tenant],
             shared_dax={Tier.DRAM: SimpleNamespace(n_pages=1024)},
-            machine=SimpleNamespace(tracer=None, stats=StatsRegistry()),
+            machine=SimpleNamespace(tracer=None),
         )
-        ctrl = SloController(colo, window=WINDOW, step=0.25, max_boost=4.0,
+        return SloController(colo, window=WINDOW, step=0.25, max_boost=4.0,
                              attack_windows=2, release_windows=3,
                              warn_pages=4, critical_pages=16,
                              floor_step_pages=8, max_floor_pages=64,
                              defend_headroom_pages=16)
-        engine = _engine_stub()
-        with telemetry.session(MemorySink()):
-            tenant.evicted_pages += 10
-            ctrl.run(engine, 0.5, WINDOW)
-            tenant.evicted_pages += 10
-            ctrl.run(engine, 1.0, WINDOW)  # streak 2 -> boost
-            registry = engine.metrics.telemetry
-            assert registry is not None
-            snap = registry.snapshot(1.0)
+
+    def test_actions_counted_by_label(self):
+        tenant = _make_tenant("web-000")
+        ctrl = self._controller(tenant)
+        put, got = _recording_put()
+        ctrl.export_metrics(put)
+        assert got == {}  # no action yet, no series
+        tenant.evicted_pages += 10
+        ctrl.run(None, 0.5, WINDOW)
+        tenant.evicted_pages += 10
+        ctrl.run(None, 1.0, WINDOW)  # streak 2 -> boost
+        ctrl.export_metrics(put)
         assert ctrl.actions == 1
-        assert snap["counters"]['controller_actions_total{action="boost"}'] \
-            == 1.0
+        assert got == {'controller_actions_total{action="boost"}': 1}
 
     def test_no_session_leaves_registry_unbound(self):
-        from repro.mem.page import Tier
-        from repro.serve import SloController
+        ctrl = self._controller(_make_tenant("web-000"))
+        ctrl.run(None, 0.5, WINDOW)
+        sampler, calls = _sampler_exports(ctrl, 0.5)
+        assert calls == []
+        assert sampler._labels is None
+        with telemetry.session(MemorySink()):
+            sampler, calls = _sampler_exports(ctrl, 0.5)
+        assert calls == [0.5]
+        assert sampler._labels is not None
 
-        tenant = _make_tenant("web-000")
-        colo = SimpleNamespace(
-            active_tenants=lambda: [tenant],
-            shared_dax={Tier.DRAM: SimpleNamespace(n_pages=1024)},
-            machine=SimpleNamespace(tracer=None, stats=StatsRegistry()),
-        )
-        ctrl = SloController(colo, window=WINDOW, step=0.25, max_boost=4.0,
-                             attack_windows=2, release_windows=3,
-                             warn_pages=4, critical_pages=16,
-                             floor_step_pages=8, max_floor_pages=64,
-                             defend_headroom_pages=16)
-        engine = _engine_stub()
-        ctrl.run(engine, 0.5, WINDOW)
-        assert ctrl._telemetry is None
-        assert engine.metrics.telemetry is None
+
+def test_departed_tenant_leaves_the_snapshots():
+    """A departed tenant's series end at its departure: no later snapshot
+    re-exports its last values, while the incumbents keep publishing."""
+    from tests.colo.test_arbiter import gups_tenant, two_tenants
+
+    specs = two_tenants() + [
+        gups_tenant("burst", 1 * GB, 128 * MB, arrival=1.0, departure=2.5),
+    ]
+    sink = MemorySink()
+    with telemetry.session(sink):
+        with obs.capture(trace=False, metrics=True):
+            run_colocation(specs, duration=4.0, policy="fair", scale=64,
+                           tick=0.01)
+    snaps = [r for r in sink.rows if r["kind"] == "snapshot"]
+
+    def tenants(snap):
+        return {parse_key(key)[1].get("tenant")
+                for section in ("counters", "gauges")
+                for key in snap[section]}
+
+    assert any("burst" in tenants(s) for s in snaps)
+    late = [s for s in snaps if s["t"] > 2.6]
+    assert late, "no snapshot after the departure"
+    for snap in late:
+        assert "burst" not in tenants(snap), snap["t"]
+        assert {"hot", "scan"} <= tenants(snap), snap["t"]

@@ -2,10 +2,11 @@
 
 Mirror of ``test_zero_overhead.py``'s event-class swap: with no telemetry
 session installed, a metrics-captured run must not construct a single
-telemetry object or format a single metric key — the publish sites must
-reduce to the one ``telemetry._session is not None`` test.  Enforced by
-swapping the registry/sink classes (and the key formatter) for stand-ins
-that raise on use.
+telemetry object, format a single metric key or ask a serving service
+for its export — the publish site must reduce to the one
+``telemetry._session is not None`` test.  Enforced by swapping the
+sink/session classes, the key formatter and the services'
+``export_metrics`` for stand-ins that raise on use.
 """
 
 import importlib
@@ -17,6 +18,7 @@ import repro.obs.telemetry
 from repro.core.hemem import HeMemManager
 from repro.mem.machine import MachineSpec
 from repro.obs import spans
+from repro.serve import FleetMonitor, SloController
 from repro.workloads.gups import GupsConfig
 
 
@@ -40,12 +42,13 @@ def _bomb_fn(name):
 
 @pytest.fixture
 def armed_telemetry(monkeypatch):
-    for name in ("TelemetryRegistry", "JsonlSink", "MemorySink",
-                 "TelemetrySession"):
+    for name in ("JsonlSink", "MemorySink", "TelemetrySession"):
         monkeypatch.setattr(repro.obs.telemetry, name, _bomb(name))
-    for name in ("metric_key", "publish_stats_counters",
-                 "publish_stats_histograms"):
-        monkeypatch.setattr(repro.obs.telemetry, name, _bomb_fn(name))
+    monkeypatch.setattr(repro.obs.telemetry, "metric_key",
+                        _bomb_fn("metric_key"))
+    for service in (FleetMonitor, SloController):
+        monkeypatch.setattr(service, "export_metrics",
+                            _bomb_fn(f"{service.__name__}.export_metrics"))
 
 
 def _migratory_gups():
@@ -61,9 +64,9 @@ def test_sessionless_run_touches_no_telemetry(armed_telemetry):
         result = run_gups_quick(HeMemManager(), _migratory_gups(),
                                 duration=6.0, warmup=1.0, scale=2048)
     engine = result["engine"]
-    # the sampler ran every tick and never created a registry
+    # the sampler ran every tick and never asked for publisher labels
     assert engine.metrics is not None
-    assert engine.metrics.telemetry is None
+    assert engine.metrics._labels is None
     # no profiling scope is open and no layer method is wrapped
     assert spans._active is None
     for _, target in spans.SPANS:
@@ -81,6 +84,20 @@ def test_sessionless_run_touches_no_telemetry(armed_telemetry):
     )
     assert migrated > 0
     assert cap.payloads()  # metrics capture itself still worked
+
+
+def test_sessionless_fleet_touches_no_telemetry(armed_telemetry):
+    # the serving monitor and controller run every window; with no
+    # session nothing asks them for an export
+    from tests.serve.test_fleet import run
+
+    with obs.capture(trace=False, metrics=True) as cap:
+        result = run(controller="slo", duration=1.5)
+    assert result["engine"].metrics._labels is None
+    # both services did real work: measured windows and control actions
+    assert result["fleet"]["windows"] > 0
+    assert result["controller_actions"] > 0
+    assert cap.payloads()
 
 
 def test_session_run_still_publishes():
