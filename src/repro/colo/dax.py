@@ -86,12 +86,17 @@ class TenantDax:
     def alloc_pages(self, n: int) -> List[int]:
         if n < 0:
             raise ValueError(f"negative page count: {n}")
-        if n > self.free_pages:
+        free = self.free_pages
+        if n > free:
             raise MemoryError(
                 f"tenant {self.name!r}: want {n} {self.tier.name} pages, "
-                f"{self.free_pages} within quota"
+                f"{free} within quota"
             )
-        return [self.alloc_page() for _ in range(n)]
+        # free_pages bounds n by the shared file's free count too, so the
+        # shared allocation cannot fail and usage moves only on success.
+        offsets = self.shared.alloc_pages(n)
+        self.used_pages += n
+        return offsets
 
     def free_page(self, offset_index: int) -> None:
         self.shared.free_page(offset_index)

@@ -20,7 +20,7 @@ from repro.core.sources import AccessSource, PebsSource, PtScanSource, SpinningS
 from repro.core.tracking import HotColdTracker
 from repro.kernel.dax import DaxFile
 from repro.kernel.fault import FaultCostModel
-from repro.kernel.userfaultfd import FaultKind, UserFaultFd
+from repro.kernel.userfaultfd import UserFaultFd
 from repro.mem.dma import ThreadCopyEngine
 from repro.mem.page import Tier
 from repro.mem.region import Region, RegionKind
@@ -196,38 +196,47 @@ class HeMemManager(TieredMemoryManager):
         super().munmap(region)
 
     def prefault(self, region: Region, now: float = 0.0) -> None:
-        """Fault in every page, DRAM-first (§3.3), and start tracking it."""
+        """Fault in every unmapped page, DRAM-first (§3.3), and start
+        tracking it.
+
+        Every DRAM allocation lowers ``free_pages`` by one (a tenant's
+        quota view too), so a page-at-a-time walk puts the first
+        ``free_pages - watermark`` unmapped pages in DRAM and the rest in
+        NVM; the region is placed in that one split.  Each tier's offsets
+        come from one ``alloc_pages`` call, in ``alloc_page`` order, NVM
+        first: only it can fail for an unpinned region, and then nothing
+        has been allocated yet.
+        """
         if not region.managed or region not in self._managed:
             region.mapped[:] = True
             return
-        offsets = self._offsets[region.region_id]
+        pages = np.flatnonzero(~region.mapped)
+        n = len(pages)
+        if n == 0:
+            return
         dram = self.dax[Tier.DRAM]
-        nvm = self.dax[Tier.NVM]
-        watermark_pages = self.config.dram_free_watermark // region.page_size
-        for page in range(region.n_pages):
-            if region.mapped[page]:
-                continue
-            if region.pinned_tier is not None:
-                tier = region.pinned_tier
-                reason = "pinned"
-            elif dram.free_pages > watermark_pages:
-                tier = Tier.DRAM
-                reason = "dram-free"
-            else:
-                tier = Tier.NVM
-                reason = "nvm-watermark"
-            dax = dram if tier == Tier.DRAM else nvm
-            offsets[page] = dax.alloc_page()
-            region.tier[page] = tier
-            region.tier_version += 1
-            region.mapped[page] = True
-            self.uffd.post_fault(FaultKind.PAGE_MISSING, region, page, now,
-                                 reason=reason)
-            if region.pinned_tier is None:
-                self.tracker.track_page(region, page)
-        # The page-fault thread resolves the queued missing faults; big-data
-        # apps pre-fill, so we model resolution as immediate and just drain.
-        self.uffd.read_events()
+        pinned = region.pinned_tier
+        if pinned is not None:
+            n_dram = n if pinned == Tier.DRAM else 0
+        else:
+            watermark_pages = self.config.dram_free_watermark // region.page_size
+            n_dram = min(n, max(dram.free_pages - watermark_pages, 0))
+        to_dram, to_nvm = pages[:n_dram], pages[n_dram:]
+        offsets = self._offsets[region.region_id]
+        offsets[to_nvm] = self.dax[Tier.NVM].alloc_pages(n - n_dram)
+        offsets[to_dram] = dram.alloc_pages(n_dram)
+        region.tier[to_dram] = Tier.DRAM
+        region.tier[to_nvm] = Tier.NVM
+        region.tier_version += n
+        region.mapped[pages] = True
+        # The page-fault thread resolves the missing faults; big-data apps
+        # pre-fill, so resolution is immediate.
+        if pinned is not None:
+            self.uffd.resolve_missing(region, ((pages, "pinned"),))
+        else:
+            self.uffd.resolve_missing(region, ((to_dram, "dram-free"),
+                                               (to_nvm, "nvm-watermark")))
+            self.tracker.track_pages(region, pages)
 
     # -- engine callbacks ----------------------------------------------------------
     def observe(self, stream, split, result, now, dt) -> None:

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.core.config import HeMemConfig
 from repro.core.pagestore import (
     DIRTY,
@@ -116,16 +118,28 @@ class HotColdTracker:
             return -1
         return pid
 
-    def track_page(self, region: Region, page: int) -> int:
-        """Start tracking a page (it enters its tier's cold list); its pid.
+    def track_pages(self, region: Region, pages: np.ndarray) -> None:
+        """Start tracking ``pages`` (ascending page indices of ``region``).
 
-        Idempotent for already-tracked pages.
+        Each page enters its tier's cold list; each tier's pages are
+        appended as one run in ascending page order, the order tracking
+        them one at a time leaves.  Already-tracked pages are skipped.
         """
         store = self.store
-        pid = store.bind_region(region) + page
-        if not store.flags[pid] & TRACKED:
-            self._track_pid(pid, region, page)
-        return pid
+        base = store.bind_region(region)
+        pages = np.asarray(pages, dtype=np.int64)
+        flags = np.frombuffer(store.flags, dtype=np.uint8)
+        fresh = (flags[base + pages] & TRACKED) == 0
+        pages = pages[fresh]
+        pids = base + pages
+        tiers = region.tier[pages]
+        flags[pids] |= TRACKED
+        np.frombuffer(store.clock, dtype=np.uint32)[pids] = self.global_clock
+        np.frombuffer(store.tier, dtype=np.uint8)[pids] = tiers
+        del flags  # a live view would block the columns from growing
+        for tier in (Tier.DRAM, Tier.NVM):
+            store.push_back_run(int(tier) << 1, pids[tiers == tier])
+        self._n_tracked += len(pids)
 
     def _track_pid(self, pid: int, region: Region, page: int) -> None:
         store = self.store
@@ -135,21 +149,6 @@ class HotColdTracker:
         store.tier[pid] = tier
         store.push_back(tier << 1, pid)  # the tier's cold list
         self._n_tracked += 1
-
-    def untrack_page(self, region: Region, page: int) -> None:
-        store = self.store
-        base = store.base_of(region)
-        if base is None:
-            return
-        pid = base + page
-        if not store.flags[pid] & TRACKED:
-            return
-        store.detach(pid)
-        store.flags[pid] = 0
-        store.reads[pid] = 0
-        store.writes[pid] = 0
-        store.clock[pid] = 0
-        self._n_tracked -= 1
 
     def untrack_region(self, region: Region) -> None:
         """Stop tracking every page of ``region`` and recycle its pid block."""

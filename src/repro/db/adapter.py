@@ -12,16 +12,24 @@ The adapter also retains per-transaction touch *templates* — the actual
 page lists of sampled NewOrder/Payment/Delivery executions — and prices
 them against the current page placement by seeded Monte Carlo, which is
 where p99 transaction latency comes from.
+
+:func:`load_profiled` runs the functional pass (load, profile, compile)
+behind a small in-process memo: every case of a sweep that starts from
+the same generator state gets the same pass, so only the first pays for
+it and the rest restore its result (see the function).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import pickle
+from collections import OrderedDict
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.db.engine import TpccEngine
-from repro.db.loader import HEAP_ARENA, INDEX_ARENA, TpccStorage
+from repro.db.loader import HEAP_ARENA, INDEX_ARENA, TpccLoader, TpccStorage
+from repro.db.schema import DbScale
 from repro.mem.page import Tier
 
 #: per-touch media stall (seconds): device latency per cacheline-sized
@@ -46,14 +54,21 @@ class TpccAccessModel:
         self.engine = engine
         self.profile_txns = profile_txns
         self.keep_templates = keep_templates
-        arenas = {HEAP_ARENA: storage.heap_arena,
-                  INDEX_ARENA: storage.index_arena}
-        self._arenas = arenas
-        self.read_counts = {a: np.zeros(ar.n_pages) for a, ar in arenas.items()}
-        self.write_counts = {a: np.zeros(ar.n_pages) for a, ar in arenas.items()}
-        #: (txn_name, [(arena, page, is_write), ...]) samples of the mix
-        self.templates: List[Tuple[str, list]] = []
+        self._arenas = {HEAP_ARENA: storage.heap_arena,
+                        INDEX_ARENA: storage.index_arena}
+        # What the functional pass produces (``compile``, or a memoized
+        # pass's restore).  Read-only once produced: a memoized pass shares
+        # these objects with every model that restores it.
+        #: per-arena read and write counts per logical page
+        self.read_counts: Dict[int, np.ndarray] = {}
+        self.write_counts: Dict[int, np.ndarray] = {}
+        #: (txn_name, ((arena, page, is_write), ...)) samples of the mix
+        self.templates: Tuple[Tuple[str, tuple], ...] = ()
         self.profile: Dict[str, float] = {}
+        #: region_weights results by (arena, writes_only, region size,
+        #: page size, n_pages)
+        self._weights: Dict[tuple, Optional[np.ndarray]] = {}
+        # Per-case pricing state, keyed on the case's own regions.
         #: (heap region, index region, per-arena compiled templates)
         self._compiled: Optional[tuple] = None
         #: (placement/pricing key, per-template cost vector), one slot
@@ -61,25 +76,33 @@ class TpccAccessModel:
 
     # ------------------------------------------------------------ compile
     def compile(self) -> Dict[str, float]:
-        """Run the mix, accumulate page counts, keep txn templates."""
+        """Run the mix, count page touches, keep txn templates."""
+        reads = {a: np.zeros(ar.n_pages) for a, ar in self._arenas.items()}
+        writes = {a: np.zeros(ar.n_pages) for a, ar in self._arenas.items()}
+        templates = []
         per_txn = {"heap_reads": 0.0, "heap_writes": 0.0,
                    "index_reads": 0.0, "index_writes": 0.0}
         for i in range(self.profile_txns):
             name, touches = self.engine.run_one()
-            if len(self.templates) < self.keep_templates:
-                self.templates.append((name, touches))
+            if len(templates) < self.keep_templates:
+                templates.append((name, tuple(touches)))
             for arena, page, is_write in touches:
                 if is_write:
-                    self.write_counts[arena][page] += 1
+                    writes[arena][page] += 1
                     key = "heap_writes" if arena == HEAP_ARENA else "index_writes"
                 else:
-                    self.read_counts[arena][page] += 1
+                    reads[arena][page] += 1
                     key = "heap_reads" if arena == HEAP_ARENA else "index_reads"
                 per_txn[key] += 1
-        self._compiled = self._cost_memo = None  # the templates changed
+        for counts in (*reads.values(), *writes.values()):
+            counts.flags.writeable = False
+        self.read_counts, self.write_counts = reads, writes
+        self.templates = tuple(templates)
         n = float(self.profile_txns)
         self.profile = {k + "_per_tx": v / n for k, v in per_txn.items()}
         self.profile["touches_per_tx"] = sum(per_txn.values()) / n
+        self._weights = {}
+        self._compiled = self._cost_memo = None  # the templates changed
         return self.profile
 
     # ------------------------------------------------ expansion mapping
@@ -92,7 +115,19 @@ class TpccAccessModel:
 
     def region_weights(self, arena_id: int, region,
                        writes_only: bool = False) -> Optional[np.ndarray]:
-        """Per-sim-page access weights for ``region`` backed by this arena."""
+        """Per-sim-page access weights for ``region`` backed by this arena
+        (read-only; memoized by the region's shape)."""
+        key = (arena_id, writes_only, region.size, region.page_size,
+               region.n_pages)
+        if key not in self._weights:
+            weights = self._region_weights(arena_id, region, writes_only)
+            if weights is not None:
+                weights.flags.writeable = False
+            self._weights[key] = weights
+        return self._weights[key]
+
+    def _region_weights(self, arena_id: int, region,
+                        writes_only: bool) -> Optional[np.ndarray]:
         counts = self.write_counts[arena_id] if writes_only else (
             self.read_counts[arena_id] + self.write_counts[arena_id])
         total = counts.sum()
@@ -240,3 +275,73 @@ class TpccAccessModel:
         wait = rng.exponential(mean_wait, size=n_samples) if mean_wait > 0 else 0.0
         lat = svc + wait
         return {p: float(np.percentile(lat, p)) for p in percentiles}
+
+
+#: functional passes kept per process; a tpcc_buffer sweep needs one per
+#: seed (plus one for its colocated tenant), and each entry holds about
+#: 0.2 MB of snapshot plus its counts and weights
+PASS_MEMO_SIZE = 4
+
+
+class _Pass(NamedTuple):
+    """One memoized functional pass: what it produced, the storage and
+    engine it left behind (pickled), and the generator state after it."""
+
+    read_counts: Dict[int, np.ndarray]
+    write_counts: Dict[int, np.ndarray]
+    templates: Tuple[Tuple[str, tuple], ...]
+    profile: Dict[str, float]
+    weights: Dict[tuple, Optional[np.ndarray]]
+    snapshot: bytes
+    rng_state: dict
+
+
+#: (scale, profile_txns, keep_templates, pickled generator state before
+#: the pass) -> _Pass, least recently used first
+_PASSES: "OrderedDict[tuple, _Pass]" = OrderedDict()
+
+
+def load_profiled(scale: DbScale, rng: np.random.Generator,
+                  profile_txns: int = 400,
+                  keep_templates: int = 96) -> TpccAccessModel:
+    """Load a TPC-C database and profile its mix: a compiled model whose
+    ``storage`` and ``engine`` are ready for live transactions on ``rng``.
+
+    The pass is a function of its arguments and ``rng``'s state, so it is
+    memoized on them.  A repeat restores the storage and engine from a
+    snapshot taken right after the first pass (each caller mutates its
+    own copy), points the engine at ``rng`` and sets ``rng`` to the state
+    the pass left it in, so every later draw matches a fresh pass.  The
+    counts, templates, profile and region weights are shared read-only.
+    """
+    key = (scale, profile_txns, keep_templates,
+           pickle.dumps(rng.bit_generator.state))
+    entry = _PASSES.get(key)
+    if entry is not None:
+        _PASSES.move_to_end(key)
+        storage, engine = pickle.loads(entry.snapshot)
+        engine.rng = rng
+        rng.bit_generator.state = entry.rng_state
+        model = TpccAccessModel(storage, engine, profile_txns=profile_txns,
+                                keep_templates=keep_templates)
+        model.read_counts = entry.read_counts
+        model.write_counts = entry.write_counts
+        model.templates = entry.templates
+        model.profile = entry.profile
+        model._weights = entry.weights
+        return model
+    storage = TpccStorage(scale)
+    TpccLoader(storage, rng).load()
+    engine = TpccEngine(storage, rng)
+    model = TpccAccessModel(storage, engine, profile_txns=profile_txns,
+                            keep_templates=keep_templates)
+    model.compile()
+    engine.rng = None  # the snapshot carries no generator
+    snapshot = pickle.dumps((storage, engine), pickle.HIGHEST_PROTOCOL)
+    engine.rng = rng
+    _PASSES[key] = _Pass(model.read_counts, model.write_counts,
+                         model.templates, model.profile, model._weights,
+                         snapshot, rng.bit_generator.state)
+    if len(_PASSES) > PASS_MEMO_SIZE:
+        _PASSES.popitem(last=False)
+    return model

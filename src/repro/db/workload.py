@@ -10,6 +10,14 @@ kind)`` call and may charge a per-touch ``access_overhead_ns`` tax
 reads the tax off the manager and folds it into both throughput and
 latency, which is what produces the paper-motivated crossover.
 
+Setup's functional pass — load the database, profile the mix, compile
+the access model — is :func:`~repro.db.adapter.load_profiled`: it is
+memoized per process on the scale, the profile length and the setup
+generator's state, so the cases of a sweep that share a seed pay for it
+once.  Later cases restore a private copy of the loaded storage and
+engine and the generator state the pass left, so their live
+transactions and every later draw are the ones a fresh pass would give.
+
 A transaction serially touches index then heap, so the modeled commit
 rate composes the two streams harmonically: if the index part alone
 would run at rate ``r_i`` and the heap part at ``r_h``, transactions
@@ -28,9 +36,9 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.db.adapter import TpccAccessModel
+from repro.db.adapter import TpccAccessModel, load_profiled
 from repro.db.engine import TpccEngine
-from repro.db.loader import HEAP_ARENA, INDEX_ARENA, TpccLoader, TpccStorage
+from repro.db.loader import HEAP_ARENA, INDEX_ARENA, TpccStorage
 from repro.db.schema import DbScale
 from repro.mem.access import AccessStream, Pattern
 from repro.obs.events import TxnCommitted
@@ -118,13 +126,12 @@ class TpccBufferWorkload(Workload):
         cfg = self.config
         self._rng = rng
         self._machine = machine
-        # Functional pass: load the database and compile its access shape.
-        self.storage = TpccStorage(cfg.scale)
-        TpccLoader(self.storage, rng).load()
-        self.engine = TpccEngine(self.storage, rng)
-        self.model = TpccAccessModel(self.storage, self.engine,
-                                     profile_txns=cfg.profile_txns)
-        self.model.compile()
+        # Functional pass: load the database and compile its access shape
+        # (memoized per process; see load_profiled).
+        self.model = load_profiled(cfg.scale, rng,
+                                   profile_txns=cfg.profile_txns)
+        self.storage = self.model.storage
+        self.engine = self.model.engine
 
         page = machine.spec.page_size
         heap_size = max((cfg.heap_bytes + page - 1) // page, 1) * page

@@ -48,13 +48,19 @@ class DaxFile:
         return self._free.pop()
 
     def alloc_pages(self, n: int) -> List[int]:
+        """``n`` offsets in the order ``n`` :meth:`alloc_page` calls return."""
         if n < 0:
             raise ValueError(f"negative page count: {n}")
-        if n > len(self._free):
+        free = self._free
+        if n > len(free):
             raise MemoryError(
-                f"DAX file for {self.tier.name}: want {n} pages, {len(self._free)} free"
+                f"DAX file for {self.tier.name}: want {n} pages, {len(free)} free"
             )
-        return [self._free.pop() for _ in range(n)]
+        cut = len(free) - n
+        out = free[cut:]
+        del free[cut:]
+        out.reverse()  # pop order: the tail of the free list first
+        return out
 
     def free_page(self, offset_index: int) -> None:
         if not 0 <= offset_index < self.n_pages:

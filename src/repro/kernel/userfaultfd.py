@@ -96,6 +96,24 @@ class UserFaultFd:
         if self._tracer is not None:
             trace_fault(self._tracer, kind.value, region, page, reason)
 
+    def resolve_missing(self, region: Region, runs) -> None:
+        """Page-missing faults the handler resolves as they are raised.
+
+        A prefault maps the pages itself, so nothing is queued for the
+        handler: the faults are counted and, with a tracer installed,
+        traced page by page.  ``runs`` is a sequence of ``(pages,
+        reason)``, traced in order, with ``reason`` as in
+        :meth:`post_fault`.
+        """
+        self._require_registered(region)
+        self._missing_ctr.add(sum(len(pages) for pages, _ in runs))
+        tracer = self._tracer
+        if tracer is not None:
+            kind = FaultKind.PAGE_MISSING.value
+            for pages, reason in runs:
+                for page in pages.tolist():
+                    trace_fault(tracer, kind, region, page, reason)
+
     def read_events(self, max_events: int = 0) -> List[FaultEvent]:
         """User side: drain pending fault events (0 = all)."""
         out: List[FaultEvent] = []

@@ -64,6 +64,30 @@ class TestTenantDax:
         assert a.free_pages == 0
         assert a.over_quota_pages == 3
 
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_bulk_alloc_matches_single_allocs(self, n):
+        views = []
+        for _ in range(2):
+            shared = make_shared(8)
+            other = TenantDax(shared, quota_pages=8, name="o")
+            held = other.alloc_pages(3)  # interleave another tenant's frees
+            other.free_page(held[1])
+            views.append(TenantDax(shared, quota_pages=4, name="a"))
+        bulk, single = views
+        assert bulk.alloc_pages(n) == [single.alloc_page() for _ in range(n)]
+        assert (bulk.used_pages, bulk.free_pages) == (n, 4 - n)
+        assert bulk.shared._free == single.shared._free
+
+    @pytest.mark.parametrize("quota, device", [(2, 8), (8, 2)])
+    def test_oversize_bulk_alloc_changes_nothing(self, quota, device):
+        shared = make_shared(device)
+        view = TenantDax(shared, quota_pages=quota, name="a")
+        view.alloc_page()
+        with pytest.raises(MemoryError):
+            view.alloc_pages(2)
+        assert (view.used_pages, view.free_pages) == (1, 1)
+        assert (shared.used_pages, shared.free_pages) == (1, device - 1)
+
     def test_negative_alloc_count_rejected(self):
         a = TenantDax(make_shared(8), quota_pages=4, name="a")
         with pytest.raises(ValueError):

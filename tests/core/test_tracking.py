@@ -192,6 +192,12 @@ class TestShadowColumns:
         assert store.clear_shadow(base + 7) == 55
 
 
+def track(tracker, region, page):
+    """Track one page; its pid."""
+    tracker.track_pages(region, [page])
+    return tracker.pid_of(region, page)
+
+
 def lid_of(tracker, tier, hot):
     return tracker.list_for(tier, hot).lid
 
@@ -206,28 +212,34 @@ def state(tracker, region, page):
 
 class TestTrackPage:
     def test_new_pages_enter_cold_list(self, tracker, region):
-        pid = tracker.track_page(region, 0)
+        pid = track(tracker, region, 0)
         assert tracker.store.list_id[pid] == lid_of(tracker, Tier.DRAM, False)
 
     def test_nvm_pages_enter_nvm_cold(self, tracker, region):
         region.tier[1] = Tier.NVM
-        pid = tracker.track_page(region, 1)
+        pid = track(tracker, region, 1)
         assert tracker.store.list_id[pid] == lid_of(tracker, Tier.NVM, False)
 
     def test_idempotent(self, tracker, region):
-        assert tracker.track_page(region, 0) == tracker.track_page(region, 0)
+        assert track(tracker, region, 0) == track(tracker, region, 0)
         assert len(tracker) == 1
         assert tracked_pids(tracker) == [tracker.pid_of(region, 0)]
 
-    def test_untrack(self, tracker, region):
-        tracker.track_page(region, 0)
-        tracker.untrack_page(region, 0)
-        assert tracker.pid_of(region, 0) == -1
-        assert len(tracker.list_for(Tier.DRAM, hot=False)) == 0
+    def test_runs_append_in_page_order_per_tier(self, tracker, region):
+        track(tracker, region, 9)
+        region.tier[[2, 5]] = Tier.NVM
+        tracker.track_pages(region, [1, 2, 4, 5, 9])  # 9 is already tracked
+        store = tracker.store
+        dram = tracker.list_for(Tier.DRAM, hot=False)
+        nvm = tracker.list_for(Tier.NVM, hot=False)
+        assert [store.page_no[pid] for pid in dram] == [9, 1, 4]
+        assert [store.page_no[pid] for pid in nvm] == [2, 5]
+        assert dram.nbytes == 3 * HUGE_PAGE and nvm.nbytes == 2 * HUGE_PAGE
+        assert len(tracker) == 5
+        assert tracker.violations() == []
 
     def test_untrack_region(self, tracker, region):
-        for page in range(4):
-            tracker.track_page(region, page)
+        tracker.track_pages(region, list(range(4)))
         tracker.untrack_region(region)
         assert len(tracker) == 0
         assert len(tracker.list_for(Tier.DRAM, hot=False)) == 0
@@ -285,7 +297,7 @@ class TestCooling:
         assert state(tracker, region, 1)[0] == 5  # halved to 4, then +1
 
     def test_multi_epoch_cooling_halves_repeatedly(self, tracker, region):
-        pid = tracker.track_page(region, 5)
+        pid = track(tracker, region, 5)
         tracker.store.reads[pid] = 16
         tracker.global_clock = 3
         tracker.cool_if_stale(pid)
@@ -314,7 +326,7 @@ class TestCooling:
 
     def test_second_chance_keeps_hot_page_on_hot_list_back(self, tracker, region):
         store = tracker.store
-        pid = tracker.track_page(region, 4)
+        pid = track(tracker, region, 4)
         store.writes[pid] = 4
         store.reads[pid] = 16
         tracker._reclassify(pid)
@@ -332,7 +344,7 @@ class TestCooling:
 class TestMigrationInteraction:
     def test_under_migration_pages_stay_off_lists(self, tracker, region):
         store = tracker.store
-        pid = tracker.track_page(region, 0)
+        pid = track(tracker, region, 0)
         store.detach(pid)
         store.flags[pid] |= UNDER_MIGRATION
         sample(tracker, region, 0)
@@ -340,7 +352,7 @@ class TestMigrationInteraction:
         assert tracker.violations() == []
 
     def test_page_migrated_rehomes(self, tracker, region):
-        pid = tracker.track_page(region, 0)
+        pid = track(tracker, region, 0)
         tracker.store.reads[pid] = 10  # hot
         region.tier[0] = Tier.NVM  # migrated down, say
         tracker.page_migrated(pid)
@@ -348,10 +360,10 @@ class TestMigrationInteraction:
 
     def test_page_migrated_write_heavy_front(self, tracker, region):
         store = tracker.store
-        a = tracker.track_page(region, 0)
+        a = track(tracker, region, 0)
         store.reads[a] = 10
         tracker.page_migrated(a)  # hot DRAM
-        b = tracker.track_page(region, 1)
+        b = track(tracker, region, 1)
         store.writes[b] = 5
         store.flags[b] |= WRITE_HEAVY
         tracker.page_migrated(b)
@@ -445,18 +457,18 @@ class TestViolations:
         assert tracker.violations() == []
 
     def test_detects_page_on_wrong_tier_list(self, tracker, region):
-        pid = tracker.track_page(region, 0)
+        pid = track(tracker, region, 0)
         tracker.store.tier[pid] = int(Tier.NVM)  # mirror flipped, list not
         region.tier[0] = Tier.NVM
         assert any("holds NVM page" in v for v in tracker.violations())
 
     def test_detects_tracked_page_off_every_list(self, tracker, region):
-        pid = tracker.track_page(region, 0)
+        pid = track(tracker, region, 0)
         tracker.store.detach(pid)
         assert any("on no list" in v for v in tracker.violations())
 
     def test_detects_count_drift_and_dirty_without_shadow(self, tracker, region):
-        pid = tracker.track_page(region, 0)
+        pid = track(tracker, region, 0)
         tracker.store._count[tracker.store.list_id[pid]] += 1
         tracker.store.flags[pid] |= DIRTY
         problems = tracker.violations()

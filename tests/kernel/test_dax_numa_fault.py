@@ -33,6 +33,24 @@ class TestDaxFile:
         with pytest.raises(MemoryError):
             dax.alloc_pages(3)
 
+    @pytest.mark.parametrize("n", [0, 1, 3, 5])
+    def test_bulk_alloc_matches_single_allocs(self, n):
+        bulk = DaxFile(Tier.DRAM, 8 * HUGE_PAGE, HUGE_PAGE)
+        single = DaxFile(Tier.DRAM, 8 * HUGE_PAGE, HUGE_PAGE)
+        for dax in (bulk, single):  # a recycled, out-of-order free list
+            held = dax.alloc_pages(4)
+            dax.free_page(held[2])
+            dax.free_page(held[0])
+        assert bulk.alloc_pages(n) == [single.alloc_page() for _ in range(n)]
+        assert bulk._free == single._free
+
+    def test_failed_bulk_alloc_changes_nothing(self):
+        dax = DaxFile(Tier.DRAM, 4 * HUGE_PAGE, HUGE_PAGE)
+        dax.alloc_page()
+        with pytest.raises(MemoryError):
+            dax.alloc_pages(4)
+        assert (dax.free_pages, dax.used_pages) == (3, 1)
+
     def test_offset_bytes(self):
         dax = DaxFile(Tier.DRAM, 4 * HUGE_PAGE, HUGE_PAGE)
         assert dax.offset_bytes(3) == 3 * HUGE_PAGE

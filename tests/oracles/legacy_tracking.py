@@ -187,11 +187,6 @@ class HotColdTracker:
             self.list_for(node.tier, hot=False).push_back(node)
         return node
 
-    def untrack_page(self, region: Region, page: int) -> None:
-        node = self._nodes.pop((region.region_id, page), None)
-        if node is not None and node.owner is not None:
-            node.owner.remove(node)
-
     def __len__(self) -> int:
         return len(self._nodes)
 

@@ -2,7 +2,7 @@
 
 ``tests.oracles.legacy_tracking`` keeps the original ``PageNode``/``PageList``
 implementation purely as an oracle.  Under any random sequence of
-accesses, cooling-clock bumps, tier migrations, and untracks, the
+accesses, cooling-clock bumps and tier migrations, the
 array-backed tracker must produce identical hot/cold membership, FIFO
 order, counter values, and cooling state.
 """
@@ -38,9 +38,6 @@ op_strategy = st.lists(
                   st.integers(min_value=0, max_value=N_PAGES - 1),
                   st.just(False)),
         st.tuples(st.just("tick"), st.just(0), st.just(False)),
-        st.tuples(st.just("untrack"),
-                  st.integers(min_value=0, max_value=N_PAGES - 1),
-                  st.just(False)),
     ),
     max_size=400,
 )
@@ -121,9 +118,6 @@ def apply_ops(ops):
         elif kind == "tick":
             new.global_clock += 1
             old.global_clock += 1
-        elif kind == "untrack":
-            new.untrack_page(region_new, page)
-            old.untrack_page(region_old, page)
     return new, old, region_new, region_old
 
 
