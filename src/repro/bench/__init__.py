@@ -11,8 +11,8 @@ from the command line::
 
 The CLI executes cases on a process pool (``-j``) backed by an on-disk
 result cache (``.bench_cache/``); serial, parallel, and cached runs
-produce byte-identical tables.  pytest-benchmark variants live under
-``benchmarks/``.
+produce byte-identical tables.  The paper's claims about each table are
+checked against the committed goldens by ``tests/bench/test_paper_claims.py``.
 """
 
 from repro.bench.registry import EXPERIMENTS, get_experiment, run_experiment

@@ -159,8 +159,10 @@ class MigrationAborted(NamedTuple):
     """A migration exhausted its retries and was rolled back.
 
     The reserved destination DAX page is released and the page stays in
-    ``src``; in a replayed trace the matching ``MigrationStart`` remains
-    unpaired (``MigrationRecord.done is None``).
+    ``src``.  In a replayed trace the abort closes the oldest pending
+    ``MigrationStart`` of its page (``MigrationRecord.aborted`` holds it,
+    ``done`` stays None), so a later retry's ``MigrationDone`` pairs with
+    the retry's own start.
     """
 
     t: float

@@ -4,8 +4,9 @@ A :class:`Trace` wraps a list of typed events (see
 :mod:`repro.obs.events`) and answers the questions the paper's figures
 ask of HeMem's internals:
 
-- :meth:`Trace.migrations` pairs every ``MigrationStart`` with its
-  ``MigrationDone`` (per-page FIFO, matching the mover's queue order),
+- :meth:`Trace.migrations` pairs every ``MigrationStart`` with the
+  ``MigrationDone`` or ``MigrationAborted`` that ends it (per-page FIFO,
+  matching the mover's queue order),
 - :meth:`Trace.migration_rate` buckets completed migrations into a
   time series (Fig 9's dynamic phases),
 - :meth:`Trace.tier_byte_deltas` folds initial placement (page-missing
@@ -25,6 +26,7 @@ from typing import Dict, List, NamedTuple, Optional, Tuple, Type, Union
 from repro.obs.events import (
     EVENT_KINDS,
     KIND_TO_EVENT,
+    MigrationAborted,
     MigrationDone,
     MigrationStart,
     PageFault,
@@ -34,11 +36,13 @@ from repro.obs.events import (
 
 
 class MigrationRecord(NamedTuple):
-    """One migration lifecycle; ``done`` is None if still in flight at the
-    end of the trace."""
+    """One migration lifecycle.  ``done`` is None if the migration was
+    rolled back (``aborted`` holds the abort) or still in flight at the end
+    of the trace (both None)."""
 
     start: MigrationStart
     done: Optional[MigrationDone]
+    aborted: Optional[MigrationAborted] = None
 
     @property
     def completed(self) -> bool:
@@ -107,24 +111,29 @@ class Trace:
 
     # -- migration lifecycles ------------------------------------------------
     def migrations(self) -> List[MigrationRecord]:
-        """Pair starts with completions per (region, page), FIFO order."""
+        """Pair starts with their done or abort per (region, page), FIFO
+        order."""
         pending: Dict[Tuple[str, int], deque] = defaultdict(deque)
         records: List[MigrationRecord] = []
         index: Dict[int, int] = {}  # id of start -> slot in records
         for event in self.events:
-            if type(event) is MigrationStart:
+            kind = type(event)
+            if kind is MigrationStart:
                 index[id(event)] = len(records)
                 records.append(MigrationRecord(event, None))
                 pending[(event.region, event.page)].append(event)
-            elif type(event) is MigrationDone:
+            elif kind is MigrationDone or kind is MigrationAborted:
                 queue = pending.get((event.region, event.page))
                 if not queue:
                     raise ValueError(
-                        f"MigrationDone without a matching start: {event}"
+                        f"{kind.__name__} without a matching start: {event}"
                     )
                 start = queue.popleft()
                 slot = index[id(start)]
-                records[slot] = MigrationRecord(start, event)
+                if kind is MigrationDone:
+                    records[slot] = MigrationRecord(start, event)
+                else:
+                    records[slot] = MigrationRecord(start, None, event)
         return records
 
     def migration_latencies(self) -> List[float]:

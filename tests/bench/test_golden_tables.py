@@ -11,8 +11,6 @@ shows up as a precise cell diff; refresh the snapshots deliberately with::
     PYTHONPATH=src python -m repro.bench all -j 1 --no-cache --update-golden
 """
 
-from pathlib import Path
-
 import pytest
 
 from repro.bench.registry import MODULES, get_module
@@ -20,37 +18,7 @@ from repro.bench.runner import run_experiment
 from repro.bench.scenario import fast
 from repro.core.invariants import violations
 from repro.obs.runtime import capture
-
-GOLDEN_DIR = Path(__file__).resolve().parents[1] / "golden"
-
-
-def parse_golden(text: str):
-    """Parse Table.to_csv output back into (columns, rows) of strings."""
-    rows = []
-    for line in text.splitlines():
-        cells, cell, quoted, i = [], "", False, 0
-        while i < len(line):
-            ch = line[i]
-            if quoted:
-                if ch == '"':
-                    if i + 1 < len(line) and line[i + 1] == '"':
-                        cell += '"'
-                        i += 1
-                    else:
-                        quoted = False
-                else:
-                    cell += ch
-            elif ch == '"':
-                quoted = True
-            elif ch == ",":
-                cells.append(cell)
-                cell = ""
-            else:
-                cell += ch
-            i += 1
-        cells.append(cell)
-        rows.append(cells)
-    return rows[0], rows[1:]
+from tests.bench.golden import GOLDEN_DIR, load_golden
 
 
 def test_every_experiment_has_a_golden_table():
@@ -75,7 +43,7 @@ def test_golden_table(name):
     assert golden_path.exists(), (
         f"missing {golden_path}; regenerate with --update-golden"
     )
-    columns, rows = parse_golden(golden_path.read_text())
+    golden = load_golden(name)
 
     # metrics=False: the snapshot check runs the same uninstrumented path
     # as the default CLI (capture cannot change results either way); the
@@ -89,10 +57,11 @@ def test_golden_table(name):
                 f"{name}: machine {index} broke a conservation law"
             )
 
+    columns = golden.columns
     assert table.columns == columns, f"{name}: column set changed"
-    assert len(table.rows) == len(rows), f"{name}: row count changed"
-    for r, (fresh, golden) in enumerate(zip(table.rows, rows)):
-        for column, got, want in zip(columns, fresh, golden):
+    assert len(table.rows) == len(golden.rows), f"{name}: row count changed"
+    for r, (fresh, want_row) in enumerate(zip(table.rows, golden.rows)):
+        for column, got, want in zip(columns, fresh, want_row):
             assert got == want, (
                 f"{name}: cell (row {r}, {column!r}) drifted: "
                 f"golden {want!r} != fresh {got!r}"

@@ -57,8 +57,9 @@ class TestAbortRetryInterleaving:
         first, second = records
         assert first.completed and first.done.t == 1.5
         assert first.start.reason == "promote-hot"
-        # the aborted lifecycle keeps its start but never gets a done
+        # the aborted lifecycle keeps its start and records its abort
         assert not second.completed and second.latency is None
+        assert second.aborted is not None and second.aborted.t == 2.5
         assert second.start.reason == "demote-watermark"
 
     def test_retries_do_not_disturb_fifo_pairing(self):
@@ -90,13 +91,19 @@ class TestAbortRetryInterleaving:
             MigrationDone(2.4, "heap", 2, "NVM", "DRAM", PAGE_BYTES, 0.4),
         ]
         records = Trace(events).migrations()
-        # FIFO: the done pairs the *oldest* pending start, the aborted one.
-        # Replay cannot tell an abort consumed it — the documented contract
-        # is FIFO order over starts, which the simulator upholds because an
-        # abort only happens after its own retries exhaust.
+        # The abort closes start "x", so the done pairs with start "y".
         assert len(records) == 2
-        assert records[0].completed
-        assert not records[1].completed
+        aborted, retried = records
+        assert aborted.start.reason == "x"
+        assert not aborted.completed and aborted.aborted == events[1]
+        assert retried.start.reason == "y"
+        assert retried.completed and retried.aborted is None
+        assert retried.latency == pytest.approx(0.4)
+
+    def test_abort_without_start_is_rejected(self):
+        trace = Trace([MigrationAborted(1.0, "heap", 3, "NVM", "DRAM", 5)])
+        with pytest.raises(ValueError, match="without a matching start"):
+            trace.migrations()
 
 
 class TestFullRoundTrip:
