@@ -59,7 +59,6 @@ from repro.bench.diagnostics import (
     diagnose_main,
     health_summary,
     write_health,
-    write_perfetto,
 )
 from repro.bench.registry import MODULES, get_module
 from repro.bench.report import save_observations
@@ -72,6 +71,7 @@ from repro.bench.runner import (
 )
 from repro.bench.scenario import PRESETS
 from repro.core.placement import POLICIES as PLACEMENT_POLICIES
+from repro.obs.perfetto import export_file
 
 #: where --update-golden writes, relative to the repository root
 DEFAULT_GOLDEN_DIR = Path(__file__).resolve().parents[3] / "tests" / "golden"
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     if diagnostics:
         traces = collect_traces(observed)
         if args.perfetto_out:
-            doc = write_perfetto(traces, args.perfetto_out)
+            doc = export_file(traces, args.perfetto_out)
             print(f"[perfetto trace written: {args.perfetto_out} "
                   f"({len(doc['traceEvents'])} events)]")
         if args.health_out:

@@ -15,7 +15,7 @@ from typing import Dict
 
 from repro.obs.diagnose import PlacementProvenance
 from repro.obs.health import run_health
-from repro.obs.perfetto import export_file, export_traces
+from repro.obs.perfetto import export_file
 from repro.obs.replay import Trace, load_bench_export
 
 
@@ -42,18 +42,18 @@ def collect_traces(observed: Dict[str, dict]) -> Dict[str, Trace]:
     return traces
 
 
-def write_perfetto(traces: Dict[str, Trace], path) -> dict:
-    """Write one Perfetto document covering every captured trace."""
-    return export_file(traces, path)
-
-
-def write_health(traces: Dict[str, Trace], path) -> dict:
-    """Run the default detectors on every trace; write one JSON report."""
-    doc = {
+def health_document(traces: Dict[str, Trace]) -> dict:
+    """Run the default detectors on every trace: one health document."""
+    return {
         "kind": "health",
         "runs": {label: run_health(trace).to_dict()
                  for label, trace in sorted(traces.items())},
     }
+
+
+def write_health(traces: Dict[str, Trace], path) -> dict:
+    """Write :func:`health_document` to ``path`` as JSON; returns it."""
+    doc = health_document(traces)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
     return doc
@@ -112,11 +112,10 @@ def diagnose_main(argv=None) -> int:
     traces = load_any(args.trace)
     print(f"[loaded {len(traces)} trace(s) from {args.trace}]")
 
-    health = {
-        "kind": "health",
-        "runs": {label: run_health(trace).to_dict()
-                 for label, trace in sorted(traces.items())},
-    }
+    if args.health_out:
+        health = write_health(traces, args.health_out)
+    else:
+        health = health_document(traces)
     print(health_summary(health))
     for label, report in health["runs"].items():
         for finding in report["findings"]:
@@ -124,14 +123,10 @@ def diagnose_main(argv=None) -> int:
                   f"@ {finding['start']:.2f}-{finding['end']:.2f}s: "
                   f"{finding['message']}")
     if args.health_out:
-        with open(args.health_out, "w") as fh:
-            json.dump(health, fh, indent=1)
         print(f"[health report written: {args.health_out}]")
 
     if args.perfetto_out:
-        doc = export_traces(traces)
-        with open(args.perfetto_out, "w") as fh:
-            json.dump(doc, fh)
+        doc = export_file(traces, args.perfetto_out)
         print(f"[perfetto trace written: {args.perfetto_out} "
               f"({len(doc['traceEvents'])} events)]")
 

@@ -1,14 +1,15 @@
 """Fault-matrix smoke runs: one short GUPS per fault kind.
 
 CI's graceful-degradation gate: for every kind in
-:data:`repro.faults.plan.FAULT_KINDS` (plus Nomad and colocation
-variants) this runs a migration-heavy GUPS configuration with a
-representative fault window, then asserts
+:data:`repro.faults.plan.FAULT_KINDS` (plus an aborting ``copy_abort``
+plan and Nomad and colocation variants) this runs a migration-heavy GUPS
+configuration with a representative fault window, then asserts
 
 - the injector fired (``faults.injected`` > 0) and, for windowed plans,
   recovered (``faults.recovered`` > 0),
 - the kind's degradation path engaged (copy-thread fallback moved bytes,
-  copy failures were retried, ...),
+  copy failures were retried, ``copy_abort`` rolled a migration back,
+  ...),
 - every conservation law of :mod:`repro.core.invariants` holds at the end
   (DAX ledger, tenant sums, tracker structure): no page leaked or was
   double-freed under the fault,
@@ -43,6 +44,9 @@ SMOKE_PLANS: Dict[str, str] = {
     "nvm_degrade": "nvm_degrade:0.5@t=1.5+2.0",
     "nvm_wear": "nvm_wear:0.25@t=1.0+3.0",
     "copy_fail": "copy_fail:0.5@t=1.0+3.0",
+    # failure rate high enough that some migrations exhaust their retries
+    # and abort: rollback must release the reserved destination page
+    "copy_abort": "copy_fail:0.9@t=1.0+3.0",
     # same failure window, but under the Nomad policy: shadow-retaining
     # promotions and no-copy demotions must keep the NVM occupancy ledger
     # (mapped + in-flight + shadows) exact through aborts and retries
@@ -162,6 +166,10 @@ def check_case(kind: str, plan: str, counters: dict,
                                f"no retries")
             elif retries != 0:
                 bad.append(f"{scope}: hit by a fault scoped to {target!r}")
+    if kind == "copy_abort":
+        if sum(counters.get(f"{scope}.migrations_aborted", 0.0)
+               for scope in gups) < 1:
+            bad.append("no migration exhausted its retries and aborted")
     if kind in NOMAD_KINDS:
         if sum(counters.get(f"{scope}.shadows_created", 0.0)
                for scope in gups) < 1:
@@ -208,7 +216,8 @@ def main(argv=None) -> int:
               f"gups={report['gups']:.4f} injected={report['injected']:.0f} "
               f"recovered={report['recovered']:.0f} "
               f"migrated={report['migrated']:.0f} "
-              f"retries={report['retries']:.0f}")
+              f"retries={report['retries']:.0f} "
+              f"aborted={report['aborted']:.0f}")
         for violation in violations:
             failures += 1
             print(f"       violation: {violation}")

@@ -37,6 +37,7 @@ from repro.obs.events import (
     TenantArrived,
     TenantDeparted,
 )
+from repro.obs.replay import tenant_of
 
 
 class ProvenanceStep(NamedTuple):
@@ -83,7 +84,7 @@ class PlacementProvenance:
             )
         self.max_steps_per_page = max_steps_per_page
         self._pages: Dict[Tuple[str, int], PageLineage] = {}
-        self._tenants: List[str] = []  # longest-prefix-first
+        self._tenants: List[str] = []
         #: tenant -> most recent QuotaUpdated (and the last *shrink*, which
         #: is what arbiter evictions cite)
         self._last_quota: Dict[str, QuotaUpdated] = {}
@@ -127,8 +128,6 @@ class PlacementProvenance:
         elif kind is TenantArrived:
             if event.tenant not in self._tenants:
                 self._tenants.append(event.tenant)
-                # longest first so "kvs-hot" wins over "kvs" on prefixes
-                self._tenants.sort(key=len, reverse=True)
         elif kind is TenantDeparted:
             self._last_quota.pop(event.tenant, None)
             self._last_shrink.pop(event.tenant, None)
@@ -168,16 +167,9 @@ class PlacementProvenance:
         return self._pages.keys()
 
     def tenant_of(self, region: str) -> Optional[str]:
-        """Map a region name to its colocation tenant (None outside colo).
-
-        Tenant regions are named ``{tenant}.{region}`` by the colocation
-        layer; tenants are matched longest-name-first so nested prefixes
-        resolve to the most specific tenant.
-        """
-        for tenant in self._tenants:
-            if region == tenant or region.startswith(tenant + "."):
-                return tenant
-        return None
+        """Map a region name to its colocation tenant (None outside colo);
+        see :func:`repro.obs.replay.tenant_of`."""
+        return tenant_of(region, self._tenants)
 
     def __len__(self) -> int:
         return len(self._pages)

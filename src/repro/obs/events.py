@@ -145,7 +145,10 @@ class MigrationRetried(NamedTuple):
     """An in-flight copy failed and was re-queued with backoff.
 
     ``attempt`` is the retry ordinal (1 = first retry); ``backoff`` is the
-    virtual seconds the migrator waits before resubmitting.
+    virtual seconds the migrator waits before resubmitting.  In a replayed
+    trace the retry attaches to the oldest pending ``MigrationStart`` of
+    its page (``MigrationRecord.retries``); a retry with no pending start,
+    such as a watchdog requeue (region ``"?"``, page ``-1``), is dropped.
     """
 
     t: float

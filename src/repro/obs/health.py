@@ -319,12 +319,13 @@ class ThrashDetector(Detector):
         self.min_round_trips = min_round_trips
 
     def scan(self, trace, ctx: HealthContext) -> List[Finding]:
-        # Completion times per page; a round trip is two consecutive
+        # Completions per page, in order; a round trip is two consecutive
         # completions in opposite directions.
         moves: Dict[Tuple[str, int], List[MigrationDone]] = defaultdict(list)
-        for event in trace.events:
-            if type(event) is MigrationDone:
-                moves[(event.region, event.page)].append(event)
+        for record in trace.migrations():
+            done = record.done
+            if done is not None:
+                moves[(done.region, done.page)].append(done)
         thrashing: List[Tuple[str, int]] = []
         t_lo, t_hi = float("inf"), float("-inf")
         per_page: Dict[str, int] = {}

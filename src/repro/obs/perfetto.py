@@ -4,9 +4,10 @@ Renders a :class:`~repro.obs.replay.Trace` as a JSON document that loads
 directly in ``ui.perfetto.dev`` (or ``chrome://tracing``):
 
 - **migrations** become async slices (``ph: b``/``e``) named
-  ``SRC->DST``, FIFO-paired per page exactly like
-  :meth:`Trace.migrations`, with retries as async-instant markers inside
-  the slice and aborts closing it with ``aborted: true``;
+  ``SRC->DST``, one per :meth:`Trace.migrations` record (this module
+  pairs no events itself), with the record's retries as async-instant
+  markers inside the slice and an abort closing it with
+  ``aborted: true``;
 - **service activations** become complete slices (``ph: X``) on one
   thread track per service, ``dur`` = the core-seconds charged;
 - **per-tier occupancy, hot-page counts, PEBS loss, DMA bytes and tenant
@@ -25,7 +26,6 @@ trace-event format contract — the CI smoke job runs it on real exports.
 from __future__ import annotations
 
 import json
-from collections import defaultdict, deque
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.events import (
@@ -33,10 +33,7 @@ from repro.obs.events import (
     DmaTransfer,
     FaultInjected,
     FaultRecovered,
-    MigrationAborted,
     MigrationDone,
-    MigrationRetried,
-    MigrationStart,
     PageClassified,
     PageFault,
     PebsDrop,
@@ -46,8 +43,13 @@ from repro.obs.events import (
     TenantArrived,
     TenantDeparted,
 )
+from repro.obs.replay import Trace, tenant_of
 
 _US = 1e6  # virtual seconds -> trace-event microseconds
+
+
+def _ts(t: float) -> int:
+    return int(round(t * _US))
 
 
 class _ProcessTracks:
@@ -116,26 +118,17 @@ class _Exporter:
         self._counters.clear()
 
 
-def _tenant_matcher(tenants: List[str]):
-    ordered = sorted(tenants, key=len, reverse=True)
-
-    def match(region: str) -> Optional[str]:
-        for tenant in ordered:
-            if region == tenant or region.startswith(tenant + "."):
-                return tenant
-        return None
-
-    return match
-
-
-def export_trace(trace, label: str = "machine",
+def export_trace(trace: Trace, label: str = "machine",
                  exporter: Optional[_Exporter] = None) -> List[dict]:
     """Fold one trace into a trace-event list (shared ``exporter`` allows
-    several traces — bench cases — in one document without pid clashes)."""
+    several traces — bench cases — in one document without pid clashes).
+
+    Raises ``ValueError`` on a migration end without a start, as
+    :meth:`Trace.migrations` does."""
     own = exporter is None
     if own:
         exporter = _Exporter()
-    events = getattr(trace, "events", trace)
+    events = trace.events
 
     # Tenants become processes; pre-scan so their pids exist up front.
     tenants = []
@@ -147,15 +140,12 @@ def export_trace(trace, label: str = "machine",
         name: exporter.new_process(f"{label} · tenant {name}", sort=i + 1)
         for i, name in enumerate(tenants)
     }
-    tenant_of = _tenant_matcher(tenants)
 
     def proc_for(region: str) -> _ProcessTracks:
-        tenant = tenant_of(region)
+        tenant = tenant_of(region, tenants)
         return tenant_procs[tenant] if tenant is not None else machine
 
     out = exporter.out
-    # async migration slices: FIFO ids per (region, page), mover queue order
-    pending: Dict[Tuple[str, int], deque] = defaultdict(deque)
     occupancy: Dict[str, int] = {}
     hot_pages: Dict[Tuple[int, str], int] = {}
     pebs_lost = 0
@@ -164,7 +154,7 @@ def export_trace(trace, label: str = "machine",
 
     for event in events:
         kind = type(event)
-        ts = int(round(event.t * _US))
+        ts = _ts(event.t)
         last_ts = max(last_ts, ts)
 
         if kind is ServiceRun:
@@ -174,48 +164,12 @@ def export_trace(trace, label: str = "machine",
                 "name": event.service, "cat": "service", "ts": ts,
                 "dur": max(int(round(event.cpu * _US)), 0),
             })
-        elif kind is MigrationStart:
-            proc = proc_for(event.region)
-            aid = exporter.async_id()
-            pending[(event.region, event.page)].append((aid, proc))
-            out.append({
-                "ph": "b", "pid": proc.pid, "tid": 0, "cat": "migration",
-                "id": aid, "name": f"{event.src}->{event.dst}", "ts": ts,
-                "args": {"region": event.region, "page": event.page,
-                         "reason": event.reason},
-            })
         elif kind is MigrationDone:
-            queue = pending.get((event.region, event.page))
-            if queue:
-                aid, proc = queue.popleft()
-                out.append({
-                    "ph": "e", "pid": proc.pid, "tid": 0, "cat": "migration",
-                    "id": aid, "name": f"{event.src}->{event.dst}", "ts": ts,
-                    "args": {"latency_ms": event.latency * 1e3},
-                })
             occupancy[event.src] = occupancy.get(event.src, 0) - event.nbytes
             occupancy[event.dst] = occupancy.get(event.dst, 0) + event.nbytes
             exporter.counter(machine.pid, "tier occupancy (bytes)", ts, {
                 tier: occupancy.get(tier, 0) for tier in ("DRAM", "NVM")
             })
-        elif kind is MigrationRetried:
-            queue = pending.get((event.region, event.page))
-            if queue:
-                aid, proc = queue[0]
-                out.append({
-                    "ph": "n", "pid": proc.pid, "tid": 0, "cat": "migration",
-                    "id": aid, "name": f"retry #{event.attempt}", "ts": ts,
-                    "args": {"backoff_ms": event.backoff * 1e3},
-                })
-        elif kind is MigrationAborted:
-            queue = pending.get((event.region, event.page))
-            if queue:
-                aid, proc = queue.popleft()
-                out.append({
-                    "ph": "e", "pid": proc.pid, "tid": 0, "cat": "migration",
-                    "id": aid, "name": f"{event.src}->{event.dst}", "ts": ts,
-                    "args": {"aborted": True, "attempts": event.attempts},
-                })
         elif kind is PageFault:
             if event.fault == "missing":
                 occupancy[event.tier] = occupancy.get(event.tier, 0) + event.nbytes
@@ -288,15 +242,35 @@ def export_trace(trace, label: str = "machine",
                 "s": "g",
             })
 
-    # Close slices still in flight at the end of the trace so every "b"
-    # has its "e" (the strict balance validate_chrome_trace checks).
-    for (region, page), queue in pending.items():
-        for aid, proc in queue:
+    # One async slice per migration record, ids in start order; a slice
+    # still in flight at the end of the trace closes at its last timestamp
+    # so every "b" has its "e" (the balance validate_chrome_trace checks).
+    for record in trace.migrations():
+        start = record.start
+        track = {"pid": proc_for(start.region).pid, "tid": 0,
+                 "cat": "migration", "id": exporter.async_id()}
+        out.append({
+            "ph": "b", **track, "name": f"{start.src}->{start.dst}",
+            "ts": _ts(start.t),
+            "args": {"region": start.region, "page": start.page,
+                     "reason": start.reason},
+        })
+        for retry in record.retries:
             out.append({
-                "ph": "e", "pid": proc.pid, "tid": 0, "cat": "migration",
-                "id": aid, "name": "in-flight", "ts": last_ts,
-                "args": {"unfinished": True, "region": region, "page": page},
+                "ph": "n", **track, "name": f"retry #{retry.attempt}",
+                "ts": _ts(retry.t),
+                "args": {"backoff_ms": retry.backoff * 1e3},
             })
+        end = record.done if record.completed else record.aborted
+        if end is None:
+            name, ts = "in-flight", last_ts
+            args = {"unfinished": True, "region": start.region,
+                    "page": start.page}
+        else:
+            name, ts = f"{end.src}->{end.dst}", _ts(end.t)
+            args = ({"latency_ms": end.latency * 1e3} if record.completed
+                    else {"aborted": True, "attempts": end.attempts})
+        out.append({"ph": "e", **track, "name": name, "ts": ts, "args": args})
 
     if own:
         exporter.flush_counters()

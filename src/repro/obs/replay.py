@@ -5,8 +5,10 @@ A :class:`Trace` wraps a list of typed events (see
 ask of HeMem's internals:
 
 - :meth:`Trace.migrations` pairs every ``MigrationStart`` with the
-  ``MigrationDone`` or ``MigrationAborted`` that ends it (per-page FIFO,
-  matching the mover's queue order),
+  ``MigrationRetried`` events of its copy and the ``MigrationDone`` or
+  ``MigrationAborted`` that ends it (per-page FIFO, matching the mover's
+  queue order).  It is the only migration pairing in ``repro.obs``: the
+  Perfetto exporter and health's thrash detector read its records,
 - :meth:`Trace.migration_rate` buckets completed migrations into a
   time series (Fig 9's dynamic phases),
 - :meth:`Trace.tier_byte_deltas` folds initial placement (page-missing
@@ -28,6 +30,7 @@ from repro.obs.events import (
     KIND_TO_EVENT,
     MigrationAborted,
     MigrationDone,
+    MigrationRetried,
     MigrationStart,
     PageFault,
     event_from_dict,
@@ -38,11 +41,12 @@ from repro.obs.events import (
 class MigrationRecord(NamedTuple):
     """One migration lifecycle.  ``done`` is None if the migration was
     rolled back (``aborted`` holds the abort) or still in flight at the end
-    of the trace (both None)."""
+    of the trace (both None); ``retries`` are its failed copy attempts."""
 
     start: MigrationStart
     done: Optional[MigrationDone]
     aborted: Optional[MigrationAborted] = None
+    retries: Tuple[MigrationRetried, ...] = ()
 
     @property
     def completed(self) -> bool:
@@ -111,29 +115,40 @@ class Trace:
 
     # -- migration lifecycles ------------------------------------------------
     def migrations(self) -> List[MigrationRecord]:
-        """Pair starts with their done or abort per (region, page), FIFO
-        order."""
+        """Pair starts with their retries and their done or abort per
+        (region, page), FIFO order; records come back in start order.
+
+        A retry attaches to the oldest pending start of its page and is
+        dropped when none is pending (a watchdog requeue of an untagged
+        copy names no page).
+        A done or abort closes the oldest pending start and raises
+        ``ValueError`` when there is none.
+        """
         pending: Dict[Tuple[str, int], deque] = defaultdict(deque)
         records: List[MigrationRecord] = []
-        index: Dict[int, int] = {}  # id of start -> slot in records
         for event in self.events:
             kind = type(event)
             if kind is MigrationStart:
-                index[id(event)] = len(records)
+                pending[(event.region, event.page)].append(len(records))
                 records.append(MigrationRecord(event, None))
-                pending[(event.region, event.page)].append(event)
+            elif kind is MigrationRetried:
+                queue = pending.get((event.region, event.page))
+                if queue:
+                    record = records[queue[0]]
+                    records[queue[0]] = record._replace(
+                        retries=record.retries + (event,)
+                    )
             elif kind is MigrationDone or kind is MigrationAborted:
                 queue = pending.get((event.region, event.page))
                 if not queue:
                     raise ValueError(
                         f"{kind.__name__} without a matching start: {event}"
                     )
-                start = queue.popleft()
-                slot = index[id(start)]
+                slot = queue.popleft()
                 if kind is MigrationDone:
-                    records[slot] = MigrationRecord(start, event)
+                    records[slot] = records[slot]._replace(done=event)
                 else:
-                    records[slot] = MigrationRecord(start, None, event)
+                    records[slot] = records[slot]._replace(aborted=event)
         return records
 
     def migration_latencies(self) -> List[float]:
@@ -178,6 +193,19 @@ class Trace:
                 deltas[event.dst] = deltas.get(event.dst, 0) + event.nbytes
                 deltas[event.src] = deltas.get(event.src, 0) - event.nbytes
         return deltas
+
+
+def tenant_of(region: str, tenants: List[str]) -> Optional[str]:
+    """The colocation tenant owning ``region`` (None outside colo).
+
+    The colocation layer names tenant regions ``{tenant}.{region}``; the
+    longest matching tenant name wins, so nested prefixes resolve to the
+    most specific tenant.
+    """
+    return max(
+        (t for t in tenants if region == t or region.startswith(t + ".")),
+        key=len, default=None,
+    )
 
 
 def load_bench_export(path) -> Dict[Tuple[str, str, int], Trace]:

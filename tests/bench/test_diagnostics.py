@@ -8,10 +8,10 @@ import pytest
 from repro.bench.diagnostics import (
     collect_traces,
     diagnose_main,
+    health_document,
     health_summary,
     load_any,
     write_health,
-    write_perfetto,
 )
 from repro.obs.events import (
     MigrationDone,
@@ -19,7 +19,7 @@ from repro.obs.events import (
     PageFault,
     event_to_dict,
 )
-from repro.obs.perfetto import validate_chrome_trace
+from repro.obs.perfetto import export_file, validate_chrome_trace
 from repro.obs.replay import Trace
 
 PAGE = 2 << 20
@@ -64,9 +64,9 @@ class TestCollectTraces:
 
 
 class TestWriters:
-    def test_write_perfetto_validates(self, tmp_path):
+    def test_export_file_validates(self, tmp_path):
         path = tmp_path / "out.perfetto.json"
-        doc = write_perfetto({"fig9/hemem/m0": Trace(sample_events())}, path)
+        doc = export_file({"fig9/hemem/m0": Trace(sample_events())}, path)
         assert validate_chrome_trace(json.loads(path.read_text())) == []
         assert doc["traceEvents"]
 
@@ -99,6 +99,8 @@ class TestDiagnoseCli:
         assert "promote-hot" in out  # the --explain chain printed
         health = json.loads(health_path.read_text())
         assert health["kind"] == "health"
+        # the same builder as the bench run's --health-out
+        assert health == health_document(load_any(trace_path))
         perfetto = json.loads(perfetto_path.read_text())
         assert validate_chrome_trace(perfetto) == []
 

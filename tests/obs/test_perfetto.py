@@ -91,6 +91,32 @@ class TestSyntheticExport:
         assert end["args"] == {"aborted": True, "attempts": 5}
         assert validate_chrome_trace(perfetto_document(out)) == []
 
+    def test_unmatched_done_is_rejected(self):
+        # Pairing is Trace.migrations()'s, so an end without a start raises
+        # here as it does there (capture starts before any migration, so a
+        # simulator trace never holds one).
+        events = [MigrationDone(1.0, "heap", 3, "NVM", "DRAM", PAGE, 0.1)]
+        with pytest.raises(ValueError, match="without a matching start"):
+            export_trace(Trace(events))
+
+    def test_slices_follow_record_order_with_retries_inside(self):
+        events = [
+            MigrationStart(1.0, "heap", 7, "NVM", "DRAM", PAGE, "a"),
+            MigrationStart(1.1, "heap", 7, "DRAM", "NVM", PAGE, "b"),
+            MigrationRetried(1.2, "heap", 7, 1, 0.01),
+            MigrationRetried(1.3, "?", -1, 1, 0.0),  # watchdog orphan
+            MigrationDone(1.4, "heap", 7, "NVM", "DRAM", PAGE, 0.4),
+            MigrationAborted(1.6, "heap", 7, "DRAM", "NVM", 5),
+        ]
+        out = export_trace(Trace(events))
+        migration = [e for e in out if e.get("cat") == "migration"]
+        assert [(e["ph"], e["id"], e["name"]) for e in migration] == [
+            ("b", 1, "NVM->DRAM"), ("n", 1, "retry #1"), ("e", 1, "NVM->DRAM"),
+            ("b", 2, "DRAM->NVM"), ("e", 2, "DRAM->NVM"),
+        ]
+        assert migration[-1]["args"] == {"aborted": True, "attempts": 5}
+        assert validate_chrome_trace(perfetto_document(out)) == []
+
     def test_counters_coalesce_to_last_value_per_timestamp(self):
         # Two occupancy changes in the same tick -> one counter sample
         # holding the final state.

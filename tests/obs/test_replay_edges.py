@@ -1,5 +1,6 @@
 """obs.replay edge cases: empty traces, abort/retry interleaving with the
-FIFO pairing contract, and save/load round trips of every event kind."""
+FIFO pairing contract (which start a retry belongs to), and save/load
+round trips of every event kind."""
 
 import pytest
 
@@ -52,15 +53,18 @@ class TestAbortRetryInterleaving:
         ]
 
     def test_aborted_migration_stays_unpaired(self):
-        records = Trace(self._lifecycle()).migrations()
+        events = self._lifecycle()
+        records = Trace(events).migrations()
         assert len(records) == 2
         first, second = records
         assert first.completed and first.done.t == 1.5
         assert first.start.reason == "promote-hot"
-        # the aborted lifecycle keeps its start and records its abort
+        assert first.retries == (events[1], events[2])
+        # the aborted lifecycle keeps its start, retries and abort
         assert not second.completed and second.latency is None
         assert second.aborted is not None and second.aborted.t == 2.5
         assert second.start.reason == "demote-watermark"
+        assert second.retries == (events[5],)
 
     def test_retries_do_not_disturb_fifo_pairing(self):
         # Two in-flight starts for the same page: completions must pair in
@@ -99,6 +103,39 @@ class TestAbortRetryInterleaving:
         assert retried.start.reason == "y"
         assert retried.completed and retried.aborted is None
         assert retried.latency == pytest.approx(0.4)
+
+    def test_retry_attaches_to_the_oldest_pending_start(self):
+        events = [
+            MigrationStart(1.0, "heap", 7, "NVM", "DRAM", PAGE_BYTES, "a"),
+            MigrationStart(1.1, "heap", 7, "DRAM", "NVM", PAGE_BYTES, "b"),
+            MigrationRetried(1.2, "heap", 7, 1, 0.01),
+            MigrationDone(1.3, "heap", 7, "NVM", "DRAM", PAGE_BYTES, 0.3),
+            MigrationRetried(1.4, "heap", 7, 1, 0.02),
+            MigrationDone(1.6, "heap", 7, "DRAM", "NVM", PAGE_BYTES, 0.5),
+        ]
+        first, second = Trace(events).migrations()
+        # while "a" is pending it is the oldest start; after its done the
+        # next retry belongs to "b"
+        assert first.retries == (events[2],)
+        assert second.retries == (events[4],)
+
+    def test_orphan_retry_is_ignored(self):
+        # A watchdog requeue of an untagged copy names no page.
+        events = [
+            MigrationStart(1.0, "heap", 3, "NVM", "DRAM", PAGE_BYTES, "x"),
+            MigrationRetried(1.1, "?", -1, 1, 0.0),
+            MigrationRetried(1.2, "heap", 4, 1, 0.0),  # no start on page 4
+            MigrationDone(1.3, "heap", 3, "NVM", "DRAM", PAGE_BYTES, 0.3),
+        ]
+        [record] = Trace(events).migrations()
+        assert record.completed and record.retries == ()
+
+    def test_clean_migration_has_no_retries(self):
+        clean = Trace([
+            MigrationStart(1.0, "heap", 1, "NVM", "DRAM", PAGE_BYTES, "x"),
+            MigrationDone(1.1, "heap", 1, "NVM", "DRAM", PAGE_BYTES, 0.1),
+        ]).migrations()
+        assert clean[0].retries == ()
 
     def test_abort_without_start_is_rejected(self):
         trace = Trace([MigrationAborted(1.0, "heap", 3, "NVM", "DRAM", 5)])
