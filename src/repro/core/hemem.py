@@ -100,7 +100,7 @@ class HeMemManager(TieredMemoryManager):
             )
             machine.register_mover(mover)
         self.migrator = Migrator(
-            mover, self.dax, self.uffd, self.tracker, machine, self.fault_costs,
+            mover, self.dax, self.tracker, machine, self.fault_costs,
             stats=scoped,
         )
 

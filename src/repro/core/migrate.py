@@ -3,7 +3,9 @@
 To migrate a page HeMem:
 
 1. write-protects it through userfaultfd (reads proceed; writes fault and
-   wait until the copy finishes — measured at < 0.00013% of writes),
+   wait until the copy finishes — measured at < 0.00013% of writes).  The
+   page's ``UNDER_MIGRATION`` flag is the model's only record of that
+   protection; stores that hit it are read off ``pending_writes``,
 2. submits the copy to the I/OAT DMA engine (or copy threads if no DMA),
 3. on completion remaps the virtual page to the new tier's DAX offset,
    restores access rights, and wakes any stalled writers.
@@ -40,7 +42,6 @@ from repro.core.pagestore import DIRTY, UNDER_MIGRATION
 from repro.core.tracking import HotColdTracker
 from repro.kernel.dax import DaxFile
 from repro.kernel.fault import FaultCostModel
-from repro.kernel.userfaultfd import UserFaultFd
 from repro.mem.dma import CopyEngine, CopyRequest
 from repro.mem.page import Tier
 from repro.obs.events import (
@@ -65,7 +66,6 @@ class Migrator:
         self,
         mover: CopyEngine,
         dax: Dict[Tier, DaxFile],
-        uffd: UserFaultFd,
         tracker: HotColdTracker,
         machine,
         fault_costs: Optional[FaultCostModel] = None,
@@ -73,7 +73,6 @@ class Migrator:
     ):
         self.mover = mover
         self.dax = dax
-        self.uffd = uffd
         self.tracker = tracker
         self.machine = machine
         self.fault_costs = fault_costs or FaultCostModel()
@@ -195,7 +194,6 @@ class Migrator:
         new_offset = dax_dst.alloc_page()
 
         # Write-protect: stores to the page now wait on the copy.
-        self.uffd.write_protect(region, [page])
         store.flags[pid] |= UNDER_MIGRATION
         store.detach(pid)
         writes_at_submit = float(region.pending_writes[page])
@@ -246,7 +244,6 @@ class Migrator:
 
         region.tier[page] = dst
         region.tier_version += 1
-        self.uffd.write_unprotect(region, [page])
         store.flags[pid] &= ~UNDER_MIGRATION & 0xFF
         self.tracker.page_migrated(pid)
 
@@ -403,7 +400,6 @@ class Migrator:
         region = store.region_ref[pid]
         page = store.page_no[pid]
         self.dax[request.dst_tier].free_page(int(new_offset))
-        self.uffd.write_unprotect(region, [page])
         store.flags[pid] &= ~UNDER_MIGRATION & 0xFF
         # Tier never changed; re-home the page on its current tier's list.
         self.tracker.page_migrated(pid)

@@ -314,9 +314,10 @@ class PageStore:
 
 
 class PageFifo:
-    """FIFO view over one list id (the API face of the linked columns).
+    """Read-only FIFO view over one list id (the API face of the linked
+    columns); the store's ``push_*``/``unlink`` change membership.
 
-    Pages go in and come out as pids; ``-1`` means "no page".
+    Pages are named by pid; ``-1`` means "no page".
     """
 
     __slots__ = ("store", "lid", "name")
@@ -350,24 +351,6 @@ class PageFifo:
             following = nxt[pid]
             yield pid
             pid = following
-
-    def push_back(self, pid: int) -> None:
-        self.store.push_back(self.lid, pid)
-
-    def push_front(self, pid: int) -> None:
-        self.store.push_front(self.lid, pid)
-
-    def remove(self, pid: int) -> None:
-        if self.store.list_id[pid] != self.lid:
-            raise ValueError(f"pid {pid} is not on list {self.name}")
-        self.store.unlink(self.lid, pid)
-
-    def pop_front(self) -> int:
-        """Pop and return the front pid, or -1 when empty."""
-        head = self.store._head[self.lid]
-        if head >= 0:
-            self.store.unlink(self.lid, head)
-        return head
 
     def __repr__(self) -> str:
         return f"PageFifo({self.name}, n={len(self)})"

@@ -185,12 +185,6 @@ class HotColdTracker:
         return self._n_tracked
 
     # -- classification ------------------------------------------------------------
-    def is_hot(self, pid: int) -> bool:
-        return (
-            self.store.reads[pid] >= self._hot_reads
-            or self.store.writes[pid] >= self._hot_writes
-        )
-
     def hot_bytes(self, tier: Optional[Tier] = None) -> int:
         tiers = (tier,) if tier is not None else (Tier.DRAM, Tier.NVM)
         nbytes = self.store._nbytes

@@ -2,10 +2,10 @@
 
 The paper measures userfaultfd overhead and finds it irrelevant for its
 workloads because big-data applications pre-fault their heaps precisely to
-avoid faults at runtime.  We still model the costs so the pre-fault phase
-and any residual runtime faults (e.g. write-protection faults hitting pages
-under migration) are charged — and, when tracing is enabled, every
-forwarded fault lands in the trace as a
+avoid faults at runtime; the model's prefault is accordingly immediate.
+The one fault cost charged is the wake-up of a store that hit a page
+write-protected under migration.  When tracing is enabled, every
+page-missing fault lands in the trace as a
 :class:`~repro.obs.events.PageFault` carrying the tier the page occupies,
 which is what lets replay reconstruct initial placement.
 """
@@ -20,29 +20,19 @@ from repro.obs.events import PageFault
 
 @dataclass(frozen=True)
 class FaultCostModel:
-    """Latency constants (seconds) for the fault paths."""
+    """Latency constant (seconds) of the one fault path a run charges."""
 
-    kernel_fault: float = 1.5e-6  # anonymous page fault handled in-kernel
-    uffd_forward: float = 6.0e-6  # round trip to a user-level handler
     wp_resolution: float = 4.0e-6  # write-protect fault wake-up
-
-    def prefault_time(self, n_pages: int, forwarded: bool) -> float:
-        """Wall time to populate ``n_pages`` by touching them once each."""
-        if n_pages < 0:
-            raise ValueError(f"negative page count: {n_pages}")
-        per_fault = self.uffd_forward if forwarded else self.kernel_fault
-        return n_pages * per_fault
 
 
 def trace_fault(tracer, fault_kind_value: str, region, page: int,
                 reason: str = "") -> None:
     """Emit one :class:`PageFault` event (no-op when ``tracer`` is None).
 
-    The tier is read from the region's placement at post time: for
-    page-missing faults that is where the page was just installed, for
-    write-protection faults where the protected page currently lives.
-    ``reason`` carries the allocator's placement decision for page-missing
-    faults (``pinned``, ``dram-free``, ``nvm-watermark``).
+    The tier is read from the region's placement at emit time: for a
+    page-missing fault that is where the page was just installed.
+    ``reason`` carries the allocator's placement decision (``pinned``,
+    ``dram-free``, ``nvm-watermark``).
     """
     if tracer is None:
         return

@@ -11,7 +11,7 @@ accesses land (a :class:`TierSplit`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 

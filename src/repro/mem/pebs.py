@@ -168,10 +168,6 @@ class PebsUnit:
         self._capacity = max(int(self.spec.buffer_capacity * factor), 1)
 
     @property
-    def effective_capacity(self) -> int:
-        return self._capacity
-
-    @property
     def records_sampled(self) -> float:
         return self._sampled.value
 

@@ -106,11 +106,6 @@ class Region:
     def contains(self, va: int) -> bool:
         return self.start <= va < self.end
 
-    def page_of(self, va: int) -> int:
-        if not self.contains(va):
-            raise ValueError(f"address {va:#x} not in {self.name}")
-        return (va - self.start) // self.page_size
-
     # -- placement queries --------------------------------------------------
     def _in_dram_mask(self) -> np.ndarray:
         """Float mask of DRAM-resident pages, cached against ``tier_version``."""
@@ -156,10 +151,6 @@ class Region:
             nvm_bytes = (self.n_pages - dram_pages) * self.page_size
             self._bytes_cache = (self.tier_version, dram_bytes, nvm_bytes)
         return dram_bytes if tier == Tier.DRAM else nvm_bytes
-
-    def pages_in(self, tier: Tier) -> np.ndarray:
-        """Indices of pages currently placed in ``tier``."""
-        return np.nonzero(self.tier == tier)[0]
 
     # -- ground-truth access accounting --------------------------------------
     @property

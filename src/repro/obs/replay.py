@@ -70,6 +70,10 @@ class Trace:
 
     @classmethod
     def from_tracer(cls, tracer) -> "Trace":
+        """The whole trace of a live tracer.  A streaming tracer holds only
+        the current tick in ``events``; its segments are read back too."""
+        if len(tracer) != len(tracer.events):
+            return cls.from_dicts(tracer.to_dicts())
         return cls(tracer.events)
 
     @classmethod

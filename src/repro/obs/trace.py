@@ -7,15 +7,15 @@ clock) never need ``now`` threaded through their signatures.
 
 Instrumented components hold a ``tracer`` attribute that is ``None`` when
 tracing is disabled; every emit site is guarded by a single ``is None``
-check, so the fast path pays nothing.
+check, so the fast path pays nothing.  Queries over the events go through
+:class:`repro.obs.replay.Trace` (``Trace.from_tracer``).
 """
 
 from __future__ import annotations
 
-from collections import Counter as _Counter
-from typing import Dict, List, Optional, Type
+from typing import List
 
-from repro.obs.events import EVENT_KINDS, event_to_dict
+from repro.obs.events import event_to_dict
 
 
 class Tracer:
@@ -32,20 +32,6 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self.events)
-
-    def count(self, event_type: Optional[Type] = None) -> int:
-        """Number of events, optionally of one type."""
-        if event_type is None:
-            return len(self.events)
-        return sum(1 for e in self.events if type(e) is event_type)
-
-    def counts_by_kind(self) -> Dict[str, int]:
-        """``{kind: count}`` over all events."""
-        counted = _Counter(type(e) for e in self.events)
-        return {EVENT_KINDS[cls]: n for cls, n in counted.items()}
-
-    def of_type(self, event_type: Type) -> List:
-        return [e for e in self.events if type(e) is event_type]
 
     def to_dicts(self) -> List[dict]:
         """JSON-able form of the whole trace (emission order preserved)."""

@@ -30,10 +30,9 @@ class Service(ABC):
         self.name = name
         self.period = period
         self.next_due = 0.0
-        self.enabled = True
 
     def due(self, now: float) -> bool:
-        return self.enabled and now + 1e-12 >= self.next_due
+        return now + 1e-12 >= self.next_due
 
     def mark_ran(self, now: float) -> None:
         if self.period > 0:

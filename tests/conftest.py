@@ -73,6 +73,34 @@ def tracked_pids(tracker):
     return [pid for pid in range(tracker.store.capacity) if flags[pid] & TRACKED]
 
 
+def pages_in(region, tier):
+    """Indices of ``region``'s pages currently placed in ``tier``."""
+    return np.nonzero(region.tier == tier)[0]
+
+
+def is_hot(tracker, pid):
+    """Whether ``pid``'s sampled counters reach a hot threshold."""
+    config = tracker.config
+    return (tracker.store.reads[pid] >= config.hot_read_threshold
+            or tracker.store.writes[pid] >= config.hot_write_threshold)
+
+
+def fifo_remove(fifo, pid):
+    """Unlink ``pid`` from ``fifo``; a pid on another list is refused
+    (``PageStore.unlink`` trusts its caller and would corrupt both)."""
+    if fifo.store.list_id[pid] != fifo.lid:
+        raise ValueError(f"pid {pid} is not on list {fifo.name}")
+    fifo.store.unlink(fifo.lid, pid)
+
+
+def fifo_pop_front(fifo):
+    """Pop and return ``fifo``'s front pid, or -1 when it is empty."""
+    head = fifo.front_pid
+    if head >= 0:
+        fifo.store.unlink(fifo.lid, head)
+    return head
+
+
 def run_gups_quick(manager, gups_config, duration=6.0, warmup=2.0, scale=64,
                    seed=42, tick=0.01):
     """Short GUPS run helper used across integration tests."""

@@ -17,7 +17,7 @@ from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, pages_in
 
 SCALE = 64
 
@@ -46,7 +46,7 @@ def shadow_holders(engine, manager, region, n):
     """Promote ``n`` NVM pages keeping their shadows; their pids."""
     tracker = manager.tracker
     pids = [tracker.pid_of(region, int(page))
-            for page in region.pages_in(Tier.NVM)[:n]]
+            for page in pages_in(region, Tier.NVM)[:n]]
     for pid in pids:
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0,
                                         retain_shadow=True)
@@ -86,14 +86,14 @@ class TestLedger:
 
     def test_freed_reservation_of_a_mapped_page(self):
         engine, manager, region = make_setup()
-        page = int(region.pages_in(Tier.DRAM)[0])
+        page = int(pages_in(region, Tier.DRAM)[0])
         manager.dax[Tier.DRAM].free_page(int(manager.offsets(region)[page]))
         only(violations(engine), "DRAM: used")
 
     def test_backoff_waiting_copy_holds_its_reservation(self):
         engine, manager, region = make_setup()
         migrator = manager.migrator
-        pid = manager.tracker.pid_of(region, int(region.pages_in(Tier.NVM)[0]))
+        pid = manager.tracker.pid_of(region, int(pages_in(region, Tier.NVM)[0]))
         migrator.copy_fault_hook = lambda request, now: True
         assert migrator.migrate(pid, Tier.DRAM, 0.0)
         engine.machine.begin_tick(0.0, 0.01)  # the copy fails once
@@ -112,7 +112,7 @@ class TestShadowStructure:
         engine, manager, region = make_setup(policy="nomad")
         [holder] = shadow_holders(engine, manager, region, 1)
         tracker = manager.tracker
-        nvm_pid = tracker.pid_of(region, int(region.pages_in(Tier.NVM)[0]))
+        nvm_pid = tracker.pid_of(region, int(pages_in(region, Tier.NVM)[0]))
         store = tracker.store
         store.set_shadow(nvm_pid, store.clear_shadow(holder))
         only(violations(engine), "shadow on an NVM page")

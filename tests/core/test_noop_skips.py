@@ -17,12 +17,13 @@ from repro.mem.page import Tier
 from repro.mem.pebs import PebsEventKind, PebsSpec, PebsUnit
 from repro.mem.region import Region
 from repro.obs.events import PebsDrain
+from repro.obs.replay import Trace
 from repro.obs.trace import Tracer
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.rng import make_rng
 from repro.sim.units import GB, MB
 
-from tests.conftest import IdleWorkload, sample
+from tests.conftest import IdleWorkload, pages_in, sample
 from tests.core.test_placement_policies import drain_direct, make_setup
 
 SCALE = 64
@@ -80,7 +81,7 @@ class TestPolicyPassSkip:
 
     def test_nvm_hot_page_defeats_the_skip(self):
         engine, manager, machine, region = make_setup()
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         sample(manager.tracker, region, page, is_store=True, times=4)
         assert manager.tracker.list_for(Tier.NVM, hot=True)
         promoted, demoted = manager.policy.run_pass(0.0)
@@ -103,10 +104,10 @@ class TestPolicyPassSkip:
         store = manager.tracker.store
         migrator = manager.migrator
         # A promoted page keeps its NVM shadow ...
-        nvm_pid = manager.tracker.pid_of(region, int(region.pages_in(Tier.NVM)[0]))
+        nvm_pid = manager.tracker.pid_of(region, int(pages_in(region, Tier.NVM)[0]))
         assert migrator.migrate(nvm_pid, Tier.DRAM, 0.0, retain_shadow=True)
         # ... and a copy-demotion gives DRAM its watermark back.
-        dram_pid = manager.tracker.pid_of(region, int(region.pages_in(Tier.DRAM)[0]))
+        dram_pid = manager.tracker.pid_of(region, int(pages_in(region, Tier.DRAM)[0]))
         assert migrator.migrate(dram_pid, Tier.NVM, 0.0)
         drain_direct(machine, manager)
         assert store.shadow_pages == 1
@@ -128,7 +129,7 @@ class TestPolicyPassSkip:
     def test_learned_pass_is_never_skipped(self):
         engine, manager, machine, region = make_setup(policy="learned")
         policy = manager.policy
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         sample(manager.tracker, region, page)  # NVM cold list, not hot
         pid = manager.tracker.pid_of(region, page)
         assert idle_condition(manager)
@@ -157,7 +158,7 @@ class TestEmptyDrainSkip:
         assert len(machine.pebs) == 0
         assert service.run(engine, 0.0, 0.01) == 0.01
         assert calls == []
-        assert machine.tracer.count(PebsDrain) == 0
+        assert Trace.from_tracer(machine.tracer).of_kind(PebsDrain) == []
 
     def test_buffered_records_are_drained_once(self, monkeypatch):
         engine, manager, machine, service = drain_engine()
@@ -171,7 +172,8 @@ class TestEmptyDrainSkip:
         monkeypatch.setattr(manager.tracker, "record_samples", calls.append)
         assert service.run(engine, 0.0, 1.0) == 1.0
         assert [len(batch) for batch in calls] == [buffered]
-        assert [e.drained for e in machine.tracer.of_type(PebsDrain)] == [buffered]
+        drains = Trace.from_tracer(machine.tracer).of_kind(PebsDrain)
+        assert [e.drained for e in drains] == [buffered]
 
 
 class TestCarryFirstFeed:

@@ -22,7 +22,7 @@ from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
 
-from tests.conftest import IdleWorkload, sample
+from tests.conftest import IdleWorkload, pages_in, sample
 
 SCALE = 64  # DRAM 3 GB, NVM 12 GB
 
@@ -143,7 +143,7 @@ class TestPickDemotionVictimFreshlyHot:
 
 class TestNomadShadows:
     def _promote_retained(self, manager, machine, region):
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0,
                                         reason="promote-hot",
@@ -218,7 +218,7 @@ class TestNomadShadows:
         engine, manager, machine, region = make_setup(policy="nomad")
         store = manager.tracker.store
         migrator = manager.migrator
-        pages = [int(p) for p in region.pages_in(Tier.NVM)[:3]]
+        pages = [int(p) for p in pages_in(region, Tier.NVM)[:3]]
         pids = [manager.tracker.pid_of(region, p) for p in pages]
         for pid in pids:
             assert migrator.migrate(pid, Tier.DRAM, 0.0, retain_shadow=True)
@@ -316,7 +316,7 @@ class TestLearnedPolicy:
         policy.bind()
         tracker = manager.tracker
         store = tracker.store
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = tracker.pid_of(region, page)
         store.reads[pid] = 50  # EWMA folds toward 20 on the first pass
         policy._pass_no = 1

@@ -1,10 +1,10 @@
 """HeMem's bulk prefault against the page-at-a-time loop it replaced.
 
 ``reference_prefault`` is the old per-page path, kept here as an oracle:
-one ``alloc_page`` per page, one queued fault per page, one tracker push
-per page.  Each case builds two identical engines, faults the same region
-in with the bulk path on one and the oracle on the other, and compares
-everything a prefault writes.
+one ``alloc_page`` per page, one resolved fault per page, one tracker
+push per page.  Each case builds two identical engines, faults the same
+region in with the bulk path on one and the oracle on the other, and
+compares everything a prefault writes.
 """
 
 import numpy as np
@@ -14,10 +14,10 @@ from repro.colo import ColoConfig, ColoManager, ColoWorkload, TenantSpec
 from repro.core.hemem import HeMemManager
 from repro.core.invariants import violations
 from repro.core.pagestore import TRACKED
-from repro.kernel.userfaultfd import FaultKind
 from repro.mem.machine import Machine, MachineSpec
 from repro.mem.page import HUGE_PAGE, Tier
 from repro.obs.events import PageFault
+from repro.obs.replay import Trace
 from repro.obs.trace import Tracer
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB
@@ -27,7 +27,7 @@ from tests.conftest import IdleWorkload
 SCALE = 64  # DRAM 3 GB, NVM 12 GB
 
 
-def reference_prefault(manager, region, pages=None, now=0.0):
+def reference_prefault(manager, region, pages=None):
     """The per-page prefault loop (all unmapped pages, or ``pages``)."""
     offsets = manager.offsets(region)
     dram = manager.dax[Tier.DRAM]
@@ -51,13 +51,11 @@ def reference_prefault(manager, region, pages=None, now=0.0):
         region.tier[page] = tier
         region.tier_version += 1
         region.mapped[page] = True
-        manager.uffd.post_fault(FaultKind.PAGE_MISSING, region, page, now,
-                                reason=reason)
+        manager.uffd.resolve_missing(region, ((np.array([page]), reason),))
         if region.pinned_tier is None:
             pid = store.bind_region(region) + page
             if not store.flags[pid] & TRACKED:
                 manager.tracker._track_pid(pid, region, page)
-    manager.uffd.read_events()
 
 
 def _machine():
@@ -101,8 +99,9 @@ def snapshot(engine, manager, region):
     missing = {name: value
                for name, value in engine.machine.stats.counters().items()
                if name.endswith("uffd.missing_faults")}
+    trace = Trace.from_tracer(engine.machine.tracer)
     faults = [(e.region, e.page, e.tier, e.reason)
-              for e in engine.machine.tracer.of_type(PageFault)]
+              for e in trace.of_kind(PageFault)]
     return {
         "offsets": manager.offsets(region).tolist(),
         "tier": region.tier.tolist(),
@@ -114,7 +113,6 @@ def snapshot(engine, manager, region):
         "tracked": len(manager.tracker),
         "missing": missing,
         "faults": faults,
-        "pending": manager.uffd.pending(),
     }
 
 

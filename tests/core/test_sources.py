@@ -9,7 +9,7 @@ from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 from repro.workloads.gups import GupsConfig, GupsWorkload
 
-from tests.conftest import IdleWorkload, tracked_pids
+from tests.conftest import IdleWorkload, is_hot, tracked_pids
 
 SCALE = 64
 
@@ -35,7 +35,7 @@ class TestPebsSource:
         hot_pages = set(int(p) for p in workload._hot_pages)
         hot_marked = cold_marked = 0
         for pid in tracked_pids(tracker):
-            if tracker.is_hot(pid):
+            if is_hot(tracker, pid):
                 if tracker.store.page_no[pid] in hot_pages:
                     hot_marked += 1
                 else:

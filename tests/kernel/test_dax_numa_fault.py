@@ -1,9 +1,8 @@
-"""Tests for DAX files, NUMA topology, and fault costs."""
+"""Tests for DAX files and NUMA topology."""
 
 import pytest
 
 from repro.kernel.dax import DaxFile
-from repro.kernel.fault import FaultCostModel
 from repro.kernel.numa import NumaTopology
 from repro.mem.page import HUGE_PAGE, Tier
 from repro.sim.units import GB, MB
@@ -112,20 +111,3 @@ class TestNuma:
         numa.release(MB, Tier.DRAM)
         assert numa.node(Tier.DRAM).free_bytes == 2 * MB
 
-
-class TestFaultCosts:
-    def test_forwarded_faults_cost_more(self):
-        model = FaultCostModel()
-        assert model.prefault_time(100, forwarded=True) > model.prefault_time(
-            100, forwarded=False
-        )
-
-    def test_linear_in_pages(self):
-        model = FaultCostModel()
-        assert model.prefault_time(200, True) == pytest.approx(
-            2 * model.prefault_time(100, True)
-        )
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            FaultCostModel().prefault_time(-1, True)

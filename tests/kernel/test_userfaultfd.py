@@ -1,10 +1,13 @@
-"""Tests for userfaultfd fault forwarding and write protection."""
+"""Tests for userfaultfd registration and page-missing fault accounting."""
 
+import numpy as np
 import pytest
 
-from repro.kernel.userfaultfd import FaultKind, UserFaultFd
+from repro.kernel.userfaultfd import UserFaultFd
 from repro.mem.page import HUGE_PAGE
 from repro.mem.region import Region
+from repro.obs.events import PageFault
+from repro.obs.trace import Tracer
 
 
 @pytest.fixture
@@ -26,56 +29,28 @@ class TestRegistration:
 
     def test_unregistered_region_rejected(self, uffd, region):
         with pytest.raises(KeyError):
-            uffd.post_fault(FaultKind.PAGE_MISSING, region, 0, 0.0)
-        with pytest.raises(KeyError):
-            uffd.write_protect(region, [0])
+            uffd.resolve_missing(region, ((np.array([0]), "dram-free"),))
 
 
 class TestFaultDelivery:
-    def test_missing_fault_roundtrip(self, uffd, region):
-        uffd.register(region)
-        uffd.post_fault(FaultKind.PAGE_MISSING, region, 3, 1.0)
-        [event] = uffd.read_events()
-        assert event.kind is FaultKind.PAGE_MISSING
-        assert event.page == 3
-        assert event.time == 1.0
-        assert uffd.pending() == 0
-
-    def test_fifo_order(self, uffd, region):
-        uffd.register(region)
-        for page in (5, 1, 2):
-            uffd.post_fault(FaultKind.PAGE_MISSING, region, page, 0.0)
-        assert [e.page for e in uffd.read_events()] == [5, 1, 2]
-
-    def test_read_events_budget(self, uffd, region):
-        uffd.register(region)
-        for page in range(4):
-            uffd.post_fault(FaultKind.PAGE_MISSING, region, page, 0.0)
-        assert len(uffd.read_events(max_events=2)) == 2
-        assert uffd.pending() == 2
-
     def test_counters(self, uffd, region, stats):
         uffd.register(region)
-        uffd.post_fault(FaultKind.PAGE_MISSING, region, 0, 0.0)
-        uffd.post_fault(FaultKind.WRITE_PROTECT, region, 0, 0.0)
-        assert stats.counter("uffd.missing_faults").value == 1
-        assert stats.counter("uffd.wp_faults").value == 1
+        uffd.resolve_missing(region, ((np.array([0, 1]), "dram-free"),
+                                      (np.array([5]), "nvm-watermark")))
+        assert stats.counter("uffd.missing_faults").value == 3
+        # Write protection is the tracker's UNDER_MIGRATION flag, so no
+        # write-protect fault is ever forwarded; the counter stays at 0.
+        assert stats.counter("uffd.wp_faults").value == 0
 
-
-class TestWriteProtection:
-    def test_protect_unprotect(self, uffd, region):
+    def test_resolve_missing_traces_each_page_in_order(self, stats, region):
+        tracer = Tracer()
+        uffd = UserFaultFd(stats, tracer=tracer)
         uffd.register(region)
-        uffd.write_protect(region, [1, 2])
-        assert uffd.is_write_protected(region, 1)
-        assert not uffd.is_write_protected(region, 0)
-        uffd.write_unprotect(region, [1])
-        assert not uffd.is_write_protected(region, 1)
-        assert uffd.is_write_protected(region, 2)
-
-    def test_protected_pages_snapshot(self, uffd, region):
-        uffd.register(region)
-        uffd.write_protect(region, [4, 6])
-        assert uffd.protected_pages(region) == {4, 6}
-
-    def test_unregistered_region_not_protected(self, uffd, region):
-        assert not uffd.is_write_protected(region, 0)
+        uffd.resolve_missing(region, ((np.array([3, 1]), "dram-free"),
+                                      (np.array([2]), "nvm-watermark")))
+        assert [(e.fault, e.page, e.reason) for e in tracer.events] == [
+            ("missing", 3, "dram-free"),
+            ("missing", 1, "dram-free"),
+            ("missing", 2, "nvm-watermark"),
+        ]
+        assert all(type(e) is PageFault for e in tracer.events)

@@ -7,6 +7,8 @@ from repro.mem.page import BASE_PAGE, FrameAllocator, GIGA_PAGE, HUGE_PAGE, Tier
 from repro.mem.region import _DOT_MEMO_LIMIT, Region, RegionKind
 from repro.sim.units import GB, MB
 
+from tests.conftest import pages_in
+
 
 class TestFrameAllocator:
     def test_alloc_and_free_accounting(self):
@@ -56,9 +58,7 @@ class TestRegion:
         region = self.make()
         assert region.contains(region.start)
         assert not region.contains(region.end)
-        assert region.page_of(region.start + HUGE_PAGE + 5) == 1
-        with pytest.raises(ValueError):
-            region.page_of(region.end)
+        assert region.end == region.start + region.n_pages * HUGE_PAGE
 
     def test_unique_ids(self):
         assert self.make().region_id != self.make().region_id
@@ -115,7 +115,7 @@ class TestRegion:
     def test_pages_in_tier(self):
         region = self.make()
         region.tier[2] = Tier.NVM
-        assert list(region.pages_in(Tier.NVM)) == [2]
+        assert list(pages_in(region, Tier.NVM)) == [2]
 
     def test_accumulate_uniform(self):
         region = self.make()

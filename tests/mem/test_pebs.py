@@ -119,13 +119,14 @@ class TestDrain:
         assert len(batch.head(0)) == 0 and records(batch.head(0)) == []
 
     def test_count_and_drops_exact_under_capacity_spikes(self, stats, region):
-        unit = make_unit(stats, period=1, capacity=40)
+        capacity = 40
+        unit = make_unit(stats, period=1, capacity=capacity)
         buffered = sampled = dropped = 0
         plan = [(1.0, 15, 0), (0.25, 7, 0), (0.1, 5, 3), (1.0, 30, 12),
                 (0.5, 4, 40), (2.0, 60, 5), (1.0, 9, 0)]
         for factor, n_events, budget in plan:
             unit.set_capacity_factor(factor)
-            room = max(unit.effective_capacity - buffered, 0)
+            room = max(max(int(capacity * factor), 1) - buffered, 0)
             n = unit.feed(PebsEventKind.STORE, region, n_events, sampler_for(region))
             assert n == min(n_events, room)
             sampled += n

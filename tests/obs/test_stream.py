@@ -12,6 +12,7 @@ from repro.obs.events import (
     event_from_dict,
     event_to_dict,
 )
+from repro.obs.replay import Trace
 from repro.obs.stream import (
     StreamingTracer,
     TraceSegmentWriter,
@@ -114,6 +115,22 @@ class TestStreamingTracer:
             streaming.now = e.t
         assert streaming.to_dicts() == plain.to_dicts()
 
+    def test_trace_from_tracer_reads_flushed_segments(self, tmp_path):
+        from repro.obs.trace import Tracer
+
+        plain = Tracer()
+        streaming = StreamingTracer(str(tmp_path / "seg"), segment_events=4)
+        for e in drops(10):
+            plain.emit(e)
+            streaming.emit(e)
+            streaming.now = e.t
+        plain.emit(PebsDrain(0.2, 5, 5))
+        streaming.emit(PebsDrain(0.2, 5, 5))
+        assert len(streaming.events) == 1  # only the current tick is live
+        trace = Trace.from_tracer(streaming)
+        assert trace.events == plain.events
+        assert trace.counts_by_kind() == {"pebs_drop": 10, "pebs_drain": 1}
+
 
 class TestCaptureStreaming:
     def _run(self, stream_dir=None):
@@ -153,6 +170,34 @@ class TestCaptureStreaming:
         second = cap.payloads()
         assert first[0]["trace"] == second[0]["trace"]
 
+
+class TestStreamedRunCounts:
+    """Event counts come from the replayed segments, not the live buffer
+    (a streaming tracer's buffer only ever holds the current tick)."""
+
+    def _run(self, stream_dir=None):
+        from repro.core.hemem import HeMemManager
+        from repro.mem.machine import MachineSpec
+        from repro.workloads.gups import GupsConfig
+        from tests.conftest import run_gups_quick
+
+        dram = MachineSpec().scaled(2048).dram_capacity
+        gups = GupsConfig(working_set=2 * dram, threads=4, hot_set=dram // 4)
+        with obs.capture(trace=True, metrics=False,
+                         stream_dir=stream_dir) as cap:
+            run_gups_quick(HeMemManager(), gups, duration=2.0, warmup=0.5,
+                           scale=2048)
+        [payload] = cap.payloads()
+        return payload["trace"]
+
+    def test_streamed_counts_by_kind_equal_in_memory(self, tmp_path):
+        streamed = self._run(stream_dir=str(tmp_path / "stream"))
+        in_memory = Trace.from_dicts(self._run())
+        counts = load_segment_trace(streamed["dir"]).counts_by_kind()
+        assert counts == in_memory.counts_by_kind()
+        assert sum(counts.values()) == streamed["events"]
+        assert streamed["max_buffered"] < streamed["events"]
+        assert counts["migration_start"] > 0
 
 def test_event_dict_helpers_inverse():
     e = PebsDrop(0.5, "store", 3)

@@ -39,12 +39,13 @@ class TestTracer:
         for e in mig(0.0, 0, "NVM", "DRAM", done_at=0.1):
             tracer.emit(e)
         tracer.emit(CoolingPass(0.2, 1))
-        assert tracer.count() == 3
-        assert tracer.count(MigrationStart) == 1
-        assert tracer.counts_by_kind() == {
+        trace = Trace.from_tracer(tracer)
+        assert len(trace) == 3
+        assert len(trace.of_kind(MigrationStart)) == 1
+        assert trace.counts_by_kind() == {
             "migration_start": 1, "migration_done": 1, "cooling_pass": 1,
         }
-        assert tracer.of_type(CoolingPass) == [CoolingPass(0.2, 1)]
+        assert trace.of_kind(CoolingPass) == [CoolingPass(0.2, 1)]
 
     def test_to_dicts_preserves_order(self):
         tracer = Tracer()

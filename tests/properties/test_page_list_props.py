@@ -12,6 +12,8 @@ from repro.core.pagestore import NO_LIST, PageStore
 from repro.mem.page import HUGE_PAGE
 from repro.mem.region import Region
 
+from tests.conftest import fifo_pop_front, fifo_remove
+
 
 def apply_ops(ops):
     """Replay an op sequence against a PageFifo and a Python-list model."""
@@ -24,18 +26,18 @@ def apply_ops(ops):
         pid = base + (idx % region.n_pages)
         if kind == "push_back":
             if store.list_id[pid] == NO_LIST:
-                lst.push_back(pid)
+                store.push_back(lst.lid, pid)
                 model.append(pid)
         elif kind == "push_front":
             if store.list_id[pid] == NO_LIST:
-                lst.push_front(pid)
+                store.push_front(lst.lid, pid)
                 model.insert(0, pid)
         elif kind == "remove":
             if store.list_id[pid] == lst.lid:
-                lst.remove(pid)
+                fifo_remove(lst, pid)
                 model.remove(pid)
         elif kind == "pop_front":
-            popped = lst.pop_front()
+            popped = fifo_pop_front(lst)
             expected = model.pop(0) if model else -1
             assert popped == expected
     return store, lst, model

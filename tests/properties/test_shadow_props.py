@@ -27,7 +27,7 @@ from repro.mem.page import Tier
 from repro.sim.engine import Engine, EngineConfig
 from repro.sim.units import GB
 
-from tests.conftest import IdleWorkload, sample
+from tests.conftest import IdleWorkload, pages_in, sample
 
 SCALE = 64
 N_CAND = 6  # ops address the first N_CAND initially-NVM pages
@@ -79,7 +79,7 @@ class TestShadowInvariants:
         store = tracker.store
         migrator = manager.migrator
         policy = manager.policy
-        pages = [int(p) for p in region.pages_in(Tier.NVM)[:N_CAND]]
+        pages = [int(p) for p in pages_in(region, Tier.NVM)[:N_CAND]]
         pids = [tracker.pid_of(region, p) for p in pages]
         now = 0.0
         for op, arg in ops:
@@ -129,7 +129,7 @@ class TestShadowInvariants:
         tracker = manager.tracker
         store = tracker.store
         migrator = manager.migrator
-        for p in region.pages_in(Tier.NVM)[:n_shadows]:
+        for p in pages_in(region, Tier.NVM)[:n_shadows]:
             assert migrator.migrate(tracker.pid_of(region, int(p)),
                                     Tier.DRAM, 0.0, retain_shadow=True)
         drain_direct(machine, manager, 0.0)
@@ -150,7 +150,7 @@ class TestAbortLeavesShadowsAlone:
         tracker = manager.tracker
         store = tracker.store
         migrator = manager.migrator
-        nvm_pages = [int(p) for p in region.pages_in(Tier.NVM)[:3]]
+        nvm_pages = [int(p) for p in pages_in(region, Tier.NVM)[:3]]
         pids = [tracker.pid_of(region, p) for p in nvm_pages]
         for pid in pids:
             assert migrator.migrate(pid, Tier.DRAM, 0.0, retain_shadow=True)
@@ -180,7 +180,7 @@ class TestAbortLeavesShadowsAlone:
         tracker = manager.tracker
         store = tracker.store
         migrator = manager.migrator
-        nvm_pages = [int(p) for p in region.pages_in(Tier.NVM)[:4]]
+        nvm_pages = [int(p) for p in pages_in(region, Tier.NVM)[:4]]
         pids = [tracker.pid_of(region, p) for p in nvm_pages]
         # Two retained shadows that must survive everything below.
         for pid in pids[:2]:

@@ -14,7 +14,7 @@ from repro.mem.page import HUGE_PAGE, Tier
 from repro.mem.region import Region
 from repro.sim.stats import StatsRegistry
 
-from tests.conftest import sample, tracked_pids
+from tests.conftest import is_hot, sample, tracked_pids
 
 N_PAGES = 16
 
@@ -64,7 +64,7 @@ def test_list_membership_matches_classification(samples):
     for tier, hot in LISTS:
         for pid in tracker.list_for(tier, hot):
             assert region.tier[store.page_no[pid]] == tier
-            assert tracker.is_hot(pid) == hot
+            assert is_hot(tracker, pid) == hot
 
 
 @given(sample_strategy)

@@ -34,11 +34,6 @@ class TestService:
         assert not svc.due(0.01)
         assert svc.due(0.05)
 
-    def test_disabled_service_not_due(self):
-        svc = TickCounter()
-        svc.enabled = False
-        assert not svc.due(0.0)
-
     def test_negative_period_rejected(self):
         with pytest.raises(ValueError):
             TickCounter(period=-1)
