@@ -8,16 +8,18 @@ congested (tier, op) channel it runs weighted max-min water-filling over
 the tenants' demands (or serves priority classes in order), converts
 each tenant's allocation into a rate multiplier, and hands the
 multipliers to :meth:`PerfModel.resolve` as per-stream ``factors``.
+Channel demand and capacity come from :meth:`PerfModel.demand`, the same
+pass 1 that ``resolve`` runs.
 
 Uncongested channels are untouched, and a run with no attributed streams
-(or a single stream) returns ``None`` — the byte-identical fast path.
+(or a single stream) returns ``None``, so ``resolve`` runs unscaled.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.mem.perf import _CHANNELS, _N_CHANNELS
+from repro.mem.perf import _N_CHANNELS
 
 _EPS = 1e-12
 
@@ -77,47 +79,33 @@ class BandwidthPartitioner:
     ) -> Optional[List[float]]:
         if len(streams) < 2 or speed_factor <= 0:
             return None
-        # Unthrottled per-stream rates + channel demand, using the perf
-        # model's own memoized stream resolution so the demand figures
-        # match what resolve() will compute to the last bit.
-        infos = []
-        tenants = {}
-        for stream, split in zip(streams, splits):
-            tenant = self.colo.tenant_of_stream(stream)
-            op_t, entries = perf._resolve_stream(stream, split)
-            rate = stream.threads * speed_factor / op_t if op_t > 0 else 0.0
-            infos.append((tenant, rate, entries))
-            if tenant is not None:
-                tenants[tenant.name] = tenant
+        # Unthrottled per-stream rates, channel totals and capacities from
+        # the perf model's own pass 1, so the demand figures match what
+        # resolve() will compute to the last bit.
+        per_stream, totals, caps = perf.demand(
+            streams, splits, speed_factor, reserved
+        )
+        owners = [self.colo.tenant_of_stream(stream) for stream in streams]
+        tenants = {t.name: t for t in owners if t is not None}
         if not tenants:
             return None
 
-        totals = [0.0] * _N_CHANNELS
-        weighted_caps = [0.0] * _N_CHANNELS
         demand: List[Dict[Optional[str], float]] = [
             {} for _ in range(_N_CHANNELS)
         ]
-        for tenant, rate, entries in infos:
+        for tenant, (_stream, rate, _op_t, entries) in zip(owners, per_stream):
             key = tenant.name if tenant is not None else None
-            for chan, bytes_per_op, cap, _pat in entries:
+            for chan, bytes_per_op, _cap, _pat in entries:
                 d = rate * bytes_per_op
-                if d <= 0:
-                    continue
-                totals[chan] += d
-                weighted_caps[chan] += d * cap
-                demand[chan][key] = demand[chan].get(key, 0.0) + d
+                if d > 0:
+                    demand[chan][key] = demand[chan].get(key, 0.0) + d
 
         tenant_factor: List[Dict[str, float]] = [{} for _ in range(_N_CHANNELS)]
         congested = False
         for chan in range(_N_CHANNELS):
-            total = totals[chan]
-            if total <= 0:
-                continue
-            cap = weighted_caps[chan] / total
-            cap -= reserved.get(_CHANNELS[chan], 0.0)
-            cap = max(cap, 1e-9)
-            if total <= cap:
-                continue  # channel uncongested: everyone runs free
+            cap = caps[chan]
+            if cap is None or totals[chan] <= cap:
+                continue  # channel idle or uncongested: everyone runs free
             congested = True
             chan_demand = demand[chan]
             # Streams we cannot attribute (none in a standard colocation
@@ -136,7 +124,7 @@ class BandwidthPartitioner:
             return None
 
         factors = []
-        for tenant, _rate, entries in infos:
+        for tenant, (_stream, _rate, _op_t, entries) in zip(owners, per_stream):
             factor = 1.0
             if tenant is not None:
                 for chan, _bytes_per_op, _cap, _pat in entries:

@@ -27,7 +27,7 @@ event sequence.  Injection semantics live in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.sim.units import GB
 

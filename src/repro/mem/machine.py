@@ -197,10 +197,7 @@ class Machine:
         speed_factor: float,
         dt: float,
     ) -> List[StreamResult]:
-        if len(streams) == 1:
-            app_threads = streams[0].threads
-        else:
-            app_threads = sum(s.threads for s in streams)
+        app_threads = sum(s.threads for s in streams)
         if app_threads > 0 and self._interference > 0:
             # Interference (TLB shootdowns, fault stalls) steals app thread
             # time; anything beyond this tick's budget carries over so a

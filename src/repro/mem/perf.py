@@ -28,10 +28,14 @@ uncached evaluation produce bit-identical floats:
   the exact tier-split fractions, which turns steady-state ticks (where the
   manager's placement answer repeats) into a single dict lookup.
 
-On top of those, whole-tick memos (one for single-stream ticks, a
-one-slot one for multi-stream ticks) return the previous tick's results
-when the same stream and split objects recur with the same speed factor
-and tick length and no bandwidth is reserved or partitioned.
+On top of those, a one-slot whole-tick memo returns the previous tick's
+results when the same stream and split objects recur with the same speed
+factor and tick length and no bandwidth is reserved or partitioned.
+
+Every tick, whatever its stream count, takes the same two passes:
+:meth:`PerfModel.demand` (rates, channel demand and reservation-adjusted
+capacities, which the colocation bandwidth partitioner reads too), then
+per-channel throttling in :meth:`PerfModel.resolve`.
 """
 
 from __future__ import annotations
@@ -121,17 +125,10 @@ class PerfModel:
         self._shapes: Dict[tuple, _StreamShape] = {}
         #: (shape, f_r, f_w, extra_r, extra_w) -> (op_time, demand entries)
         self._memo: Dict[tuple, Tuple[float, tuple]] = {}
-        #: steady-state single-stream memo: (id(stream), id(split),
-        #: speed_factor, dt) -> (stream, split, StreamResult).  Valid only
-        #: with no reserved bandwidth and a unit rate factor.  Holding
-        #: strong references to the keyed objects pins their ids, so an id
-        #: collision with a dead object is impossible; StreamResult is
-        #: immutable, so returning the same instance is exact.
-        self._single_memo: Dict[tuple, tuple] = {}
-        #: steady-state multi-stream memo, one slot: (key, streams, splits,
-        #: results) with key (stream ids, split ids, speed_factor, dt).
-        #: Same conditions and exactness argument as ``_single_memo``.
-        self._multi_memo: Optional[tuple] = None
+        #: steady-state whole-tick memo, one slot: (key, streams, splits,
+        #: results) with key (speed_factor, dt, *stream ids, *split ids).
+        #: Valid only with no reserved bandwidth and no rate factors.
+        self._tick_memo: Optional[tuple] = None
 
     def refresh(self) -> None:
         """Re-derive all device-dependent constants and drop every memo.
@@ -152,8 +149,7 @@ class PerfModel:
         self._nvm_write_lat = nvm.latency(WRITE)
         self._shapes.clear()
         self._memo.clear()
-        self._single_memo.clear()
-        self._multi_memo = None
+        self._tick_memo = None
 
     # -- shape/memo plumbing -------------------------------------------------
     def _shape_of(self, stream: AccessStream) -> _StreamShape:
@@ -251,59 +247,6 @@ class PerfModel:
         self._memo[key] = value
         return value
 
-    def _resolve_single(
-        self,
-        stream: AccessStream,
-        split: TierSplit,
-        speed_factor: float,
-        dt: float,
-        reserved_bw: Dict[Tuple[Tier, str], float],
-        rate_factor: float = 1.0,
-    ) -> StreamResult:
-        """One-stream tick, bit-identical to the general two-pass path."""
-        memo_key = None
-        if rate_factor == 1.0 and not reserved_bw:
-            # Steady-state ticks replay the exact same (stream, split,
-            # speed_factor, dt) arguments; the StreamResult is a pure
-            # function of them, so the cached instance is exact.
-            memo_key = (id(stream), id(split), speed_factor, dt)
-            hit = self._single_memo.get(memo_key)
-            if hit is not None and hit[0] is stream and hit[1] is split:
-                return hit[2]
-        op_t, entries = self._resolve_stream(stream, split)
-        rate = stream.threads * speed_factor / op_t if op_t > 0 else 0.0
-        if rate_factor != 1.0:
-            rate *= rate_factor
-        get = reserved_bw.get
-        factor = 1.0
-        for chan, bytes_per_op, cap, _pat in entries:
-            d = rate * bytes_per_op
-            if d > 0:
-                c = (d * cap) / d
-                c -= get(_CHANNELS[chan], 0.0)
-                if c < 1e-9:
-                    c = 1e-9
-                t = c / d
-                if t < factor:
-                    factor = t
-        ops = rate * factor * dt
-        chan_bytes = [0.0] * _N_CHANNELS
-        for chan, bytes_per_op, _cap, _pat in entries:
-            chan_bytes[chan] += ops * bytes_per_op
-        result = StreamResult(
-            ops=ops,
-            dram_read_bytes=chan_bytes[0],
-            dram_write_bytes=chan_bytes[1],
-            nvm_read_bytes=chan_bytes[2],
-            nvm_write_bytes=chan_bytes[3],
-            avg_op_latency=op_t / factor if factor > 0 else float("inf"),
-        )
-        if memo_key is not None:
-            if len(self._single_memo) >= _MEMO_LIMIT:
-                self._single_memo.clear()
-            self._single_memo[memo_key] = (stream, split, result)
-        return result
-
     # -- per-op cost --------------------------------------------------------
     def op_time(self, stream: AccessStream, split: TierSplit) -> float:
         """Seconds per operation for one thread, ignoring device-level caps.
@@ -317,6 +260,46 @@ class PerfModel:
         return self._resolve_stream(stream, split)[0]
 
     # -- resolution ----------------------------------------------------------
+    def demand(
+        self,
+        streams: List[AccessStream],
+        splits: List[TierSplit],
+        speed_factor: float,
+        reserved_bw: Dict[Tuple[Tier, str], float],
+        factors: Optional[List[float]] = None,
+    ) -> Tuple[list, List[float], List[Optional[float]]]:
+        """Pass 1 of a tick: unthrottled rates and per-channel demand.
+
+        Returns ``(per_stream, totals, caps)``: ``per_stream`` holds one
+        ``(stream, rate, op_time, entries)`` per stream (``rate`` is the
+        latency-limited op rate, scaled by ``factors`` when given);
+        ``totals[chan]`` is the channel's summed media demand in bytes/s and
+        ``caps[chan]`` its demand-weighted capacity minus ``reserved_bw``
+        (floored at 1e-9), or ``None`` for an idle channel.
+        """
+        per_stream = []
+        totals = [0.0] * _N_CHANNELS
+        weighted_caps = [0.0] * _N_CHANNELS
+        for i, (stream, split) in enumerate(zip(streams, splits)):
+            op_t, entries = self._resolve_stream(stream, split)
+            rate = stream.threads * speed_factor / op_t if op_t > 0 else 0.0
+            if factors is not None and factors[i] != 1.0:
+                rate *= factors[i]
+            per_stream.append((stream, rate, op_t, entries))
+            for chan, bytes_per_op, cap, _pat in entries:
+                d = rate * bytes_per_op
+                totals[chan] += d
+                weighted_caps[chan] += d * cap
+
+        caps: List[Optional[float]] = [None] * _N_CHANNELS
+        for chan, total in enumerate(totals):
+            if total > 0:
+                cap = weighted_caps[chan] / total
+                if reserved_bw:  # skip hashing four enum keys on most ticks
+                    cap -= reserved_bw.get(_CHANNELS[chan], 0.0)
+                caps[chan] = 1e-9 if cap < 1e-9 else cap
+        return per_stream, totals, caps
+
     def resolve(
         self,
         streams: List[AccessStream],
@@ -342,51 +325,27 @@ class PerfModel:
             raise ValueError("factors and streams must align")
         if not streams:
             return []
-        if len(streams) == 1:
-            # Single-stream ticks (every GUPS experiment) skip the shared
-            # demand lists entirely; the arithmetic — including the
-            # ``(d * cap) / d`` pattern-weighted capacity — is kept
-            # operation-for-operation identical to the general path.
-            return [self._resolve_single(
-                streams[0], splits[0], speed_factor, dt, reserved_bw,
-                rate_factor=factors[0] if factors is not None else 1.0,
-            )]
 
         memo_key = None
         if factors is None and not reserved_bw:
-            # Steady-state multi-stream ticks (TPC-C's heap and index, a
+            # Steady-state ticks (a GUPS stream, TPC-C's heap and index, a
             # colocated fleet) replay the same stream and split objects;
             # the results are a pure function of them, speed_factor and dt.
-            memo_key = (tuple(map(id, streams)), tuple(map(id, splits)),
-                        speed_factor, dt)
-            memo = self._multi_memo
+            # streams and splits align, so one flat tuple is unambiguous.
+            memo_key = (speed_factor, dt, *map(id, streams), *map(id, splits))
+            memo = self._tick_memo
             if memo is not None and memo[0] == memo_key:
                 return list(memo[3])
 
-        # Pass 1: unthrottled rates and per-channel demand.
-        per_stream = []
-        totals = [0.0] * _N_CHANNELS
-        weighted_caps = [0.0] * _N_CHANNELS
-        for i, (stream, split) in enumerate(zip(streams, splits)):
-            op_t, entries = self._resolve_stream(stream, split)
-            rate = stream.threads * speed_factor / op_t if op_t > 0 else 0.0
-            if factors is not None and factors[i] != 1.0:
-                rate *= factors[i]
-            per_stream.append((stream, rate, op_t, entries))
-            for chan, bytes_per_op, cap, _pat in entries:
-                d = rate * bytes_per_op
-                totals[chan] += d
-                weighted_caps[chan] += d * cap
-
-        # Channel throttles after subtracting migration reservations.
+        per_stream, totals, caps = self.demand(
+            streams, splits, speed_factor, reserved_bw, factors
+        )
         throttles = [1.0] * _N_CHANNELS
-        for chan in range(_N_CHANNELS):
-            total = totals[chan]
-            if total > 0:
-                cap = weighted_caps[chan] / total
-                cap -= reserved_bw.get(_CHANNELS[chan], 0.0)
-                cap = max(cap, 1e-9)
-                throttles[chan] = min(1.0, cap / total)
+        for chan, cap in enumerate(caps):
+            if cap is not None:
+                t = cap / totals[chan]
+                if t < 1.0:
+                    throttles[chan] = t
 
         # Pass 2: each stream runs at the pace of its slowest channel.
         results: List[StreamResult] = []
@@ -411,7 +370,9 @@ class PerfModel:
             )
             results.append(res)
         if memo_key is not None:
-            # The strong references pin the keyed ids (no recycling).
-            self._multi_memo = (memo_key, tuple(streams), tuple(splits),
-                                tuple(results))
+            # The strong references pin the keyed ids (no recycling), and
+            # no StreamResult is written after construction, so returning
+            # the cached instances is exact.
+            self._tick_memo = (memo_key, tuple(streams), tuple(splits),
+                               tuple(results))
         return results

@@ -52,9 +52,6 @@ class MetricsSampler:
         self._queue = stats.series("obs.migration_queue_bytes")
         self._last_sampled = 0.0
         self._last_dropped = 0.0
-        # per-region occupancy memo keyed by tier_version: most ticks move
-        # nothing, so sampling must not rescan every region's tier array
-        self._occupancy = {}
         # colocation: per-tenant series + loss bookkeeping, created lazily
         # the first tick a colo manager is seen (single-manager runs never
         # touch any of this beyond one getattr per tick)
@@ -190,18 +187,16 @@ class MetricsSampler:
 
     # -- helpers ---------------------------------------------------------------
     def _split(self, regions):
-        """(dram, nvm) byte split over ``regions`` via the occupancy memo."""
-        occupancy = self._occupancy
+        """(dram, nvm) byte split over ``regions``.
+
+        ``Region.bytes_in`` memoizes on ``tier_version``, so ticks that move
+        nothing never rescan a region's tier array.
+        """
+        dram_tier = self._dram_tier
         dram = 0
         nvm = 0
         for region in regions:
-            version = region.tier_version
-            cached = occupancy.get(region.region_id)
-            if cached is not None and cached[0] == version:
-                in_dram = cached[1]
-            else:
-                in_dram = region.bytes_in(self._dram_tier)
-                occupancy[region.region_id] = (version, in_dram)
+            in_dram = region.bytes_in(dram_tier)
             dram += in_dram
             nvm += region.size - in_dram
         return dram, nvm

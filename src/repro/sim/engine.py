@@ -160,10 +160,7 @@ class Engine:
 
         # 2. Application access streams for this tick.
         streams = self.workload.access_mix(now, dt)
-        if len(streams) == 1:
-            app_threads = streams[0].threads
-        else:
-            app_threads = sum(s.threads for s in streams)
+        app_threads = sum(s.threads for s in streams)
         self.last_app_threads = app_threads
         speed = cpu.app_speed_factor(app_threads, dt) if app_threads else 0.0
 

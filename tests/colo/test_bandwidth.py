@@ -1,9 +1,18 @@
 """Tests for weighted max-min water-filling (bandwidth partitioning math)."""
 
+from types import SimpleNamespace
+
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
-from repro.colo.bandwidth import water_fill
+from repro.colo.bandwidth import BandwidthPartitioner, water_fill
+from repro.mem.access import AccessStream, Pattern, TierSplit
+from repro.mem.devices import WRITE
+from repro.mem.page import HUGE_PAGE, Tier
+from repro.mem.perf import PerfModel
+from repro.mem.region import Region
+from repro.sim.units import gbps
 
 
 class TestWaterFill:
@@ -59,3 +68,39 @@ def test_water_fill_is_feasible_and_work_conserving(demands, weights, cap):
     # Work conservation: capacity is only left idle once all demand is met.
     if total < cap - 1e-6:
         assert all(alloc[n] >= demands[n] - 1e-6 for n in demands)
+
+
+def _stream(region, name, **kw):
+    fields = dict(name=name, region=region, threads=16, op_size=8,
+                  reads_per_op=1.0, writes_per_op=1.0,
+                  pattern=Pattern.RANDOM, cpu_ns_per_op=60.0)
+    fields.update(kw)
+    return AccessStream(**fields)
+
+
+@pytest.mark.parametrize("mode, expected", [
+    ("fair", [0.05690825777722288, 0.05690825777722288, 0.7674426148939617]),
+    ("priority", [0.22763303110889152, 0.22763303110889152, 0.0]),
+])
+def test_stream_factors_pinned_on_congested_tick(machine, mode, expected):
+    """Tenant ``a`` (two streams, weight 1, priority 1) and tenant ``b``
+    (one sequential scan, weight 3, priority 0) congest NVM with part of
+    its write bandwidth reserved for migration.  Exact floats are pinned,
+    so any drift in the demand, capacity or reservation arithmetic shows."""
+    region = Region(0x10000000, 64 * HUGE_PAGE)
+    streams = [
+        _stream(region, "a-heap", writes_per_op=0.5),
+        _stream(region, "a-index", op_size=64, threads=8),
+        _stream(region, "b-scan", op_size=256, pattern=Pattern.SEQUENTIAL,
+                writes_per_op=0.2),
+    ]
+    splits = [TierSplit(0.3, 0.2), TierSplit(0.8, 0.5), TierSplit(0.1, 0.0)]
+    a = SimpleNamespace(name="a", spec=SimpleNamespace(weight=1.0, priority=1))
+    b = SimpleNamespace(name="b", spec=SimpleNamespace(weight=3.0, priority=0))
+    owner = {id(streams[0]): a, id(streams[1]): a, id(streams[2]): b}
+    colo = SimpleNamespace(tenant_of_stream=lambda s: owner.get(id(s)))
+    reserved = {(Tier.NVM, WRITE): gbps(0.5)}
+    factors = BandwidthPartitioner(colo, mode).stream_factors(
+        streams, splits, 0.9, PerfModel(machine.devices), reserved
+    )
+    assert factors == expected

@@ -130,8 +130,9 @@ class TestResolve:
 
 
 class TestWholeTickMemo:
-    """The multi-stream whole-tick memo returns exactly what a fresh model
-    computes, and stays out of the way when factors or reservations apply."""
+    """The one-slot whole-tick memo returns exactly what a fresh model
+    computes, and stays out of the way when factors or reservations apply.
+    Run on a two-stream tick here and a one-stream tick below."""
 
     @staticmethod
     def tick():
@@ -150,26 +151,38 @@ class TestWholeTickMemo:
 
     def test_new_speed_factor_misses(self, machine, perf):
         streams, splits = self.tick()
-        perf.resolve(streams, splits, 0.9, 0.01, {})
+        first = perf.resolve(streams, splits, 0.9, 0.01, {})
         slower = perf.resolve(streams, splits, 0.5, 0.01, {})
+        assert not any(a is b for a, b in zip(slower, first))
         assert slower == PerfModel(machine.devices).resolve(
             streams, splits, 0.5, 0.01, {})
 
     @pytest.mark.parametrize("extra", [
-        {"factors": [0.5, 1.0]},
+        {"factor": 0.05},
         {"reserved_bw": {(Tier.NVM, WRITE): gbps(1.5)}},
     ])
     def test_bypassed_with_factors_or_reservation(self, machine, perf, extra):
         streams, splits = self.tick()
         plain = perf.resolve(streams, splits, 1.0, 0.01, {})
-        slot = perf._multi_memo
+        slot = perf._tick_memo
         reserved = extra.get("reserved_bw", {})
-        factors = extra.get("factors")
+        factors = None
+        if "factor" in extra:
+            factors = [extra["factor"]] + [1.0] * (len(streams) - 1)
         got = perf.resolve(streams, splits, 1.0, 0.01, reserved, factors=factors)
-        assert perf._multi_memo is slot  # neither read nor written
+        assert perf._tick_memo is slot  # neither read nor written
         assert got == PerfModel(machine.devices).resolve(
             streams, splits, 1.0, 0.01, reserved, factors=factors)
         assert got[0].ops < plain[0].ops
+
+
+class TestWholeTickMemoOneStream(TestWholeTickMemo):
+    """A one-stream tick takes the same path and the same memo slot."""
+
+    @staticmethod
+    def tick():
+        return ([make_stream(name="gups", writes_per_op=0.4)],
+                [TierSplit(0.6, 0.3)])
 
 
 class TestPaperShapes:

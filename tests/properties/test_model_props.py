@@ -135,40 +135,6 @@ def test_perf_memo_bit_identical_to_cold_model(
 
 
 @given(
-    frac_r=st.floats(min_value=0, max_value=1),
-    frac_w=st.floats(min_value=0, max_value=1),
-    reads=st.floats(min_value=0, max_value=8),
-    writes=st.floats(min_value=0, max_value=8),
-    op_size=st.integers(min_value=8, max_value=8192),
-    threads=st.integers(min_value=1, max_value=32),
-)
-@settings(max_examples=200, deadline=None)
-def test_single_stream_fast_path_matches_general_path(
-    frac_r, frac_w, reads, writes, op_size, threads
-):
-    """The one-stream shortcut must match the shared two-pass resolution.
-
-    An inert companion stream (no memory accesses) forces the general
-    path without perturbing any accumulated demand float.
-    """
-    machine = Machine(MachineSpec().scaled(64), seed=1)
-    perf = PerfModel(machine.devices)
-    region = Region(0x1000000, 64 * HUGE_PAGE)
-    stream = AccessStream(
-        name="s", region=region, threads=threads, op_size=op_size,
-        reads_per_op=reads, writes_per_op=writes,
-    )
-    inert = AccessStream(
-        name="inert", region=region, threads=1, op_size=64,
-        reads_per_op=0.0, writes_per_op=0.0,
-    )
-    split = TierSplit(frac_r, frac_w)
-    [fast] = perf.resolve([stream], [split], 1.0, 0.01, {})
-    general = perf.resolve([stream, inert], [split, split], 1.0, 0.01, {})[0]
-    assert _result_fields(fast) == _result_fields(general)
-
-
-@given(
     n_pages=st.integers(min_value=1, max_value=500),
     n=st.integers(min_value=0, max_value=200),
     seed=st.integers(min_value=0, max_value=2**16),
