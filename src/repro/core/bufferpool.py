@@ -20,6 +20,13 @@ page access goes through the pool's latch/hash lookup
 That tax is what lets HeMem win once DRAM is plentiful, while the
 guaranteed index residency wins when DRAM is scarce — the crossover the
 ``tpcc_buffer`` experiment measures.
+
+The sweep runs on arrays: each region's fetch candidates and DRAM pages
+come from ``np.flatnonzero`` and one ``np.lexsort`` orders the
+candidates hottest first, then by region and page; only the fetch/evict
+loop and the CLOCK hand step page by page.  ``_dram_pages_used`` is
+always the DRAM pages the pool's regions hold: re-advice releases a
+region's pages before pinning them again.
 """
 
 from __future__ import annotations
@@ -111,6 +118,9 @@ class BufferPoolManager(TieredMemoryManager):
                 self._second.pop(region.region_id, None)
             if region not in self._pinned:
                 self._pinned.append(region)
+            # Re-pinning replaces whatever DRAM the region already holds
+            # (an earlier advice or a prefault fill), so release it first.
+            self._dram_pages_used -= int((region.tier == Tier.DRAM).sum())
             free = max(self._budget_pages - self._dram_pages_used, 0)
             n_pin = min(region.n_pages, free)
             if n_pin > 0:
@@ -160,8 +170,8 @@ class BufferPoolManager(TieredMemoryManager):
         frames from an idle one.
         """
         states = []          # (region, counts, writes, referenced)
-        candidates = []      # (-count, state_idx, page): hottest first
-        dram_pages = []      # (state_idx, page): the victim clock's face
+        cand_count, cand_idx, cand_page = [], [], []  # NVM fetch candidates
+        ring_idx, ring_page = [], []  # the victim clock's face
         total_pages = 0
         for idx, region in enumerate(self._clocked):
             counts = region.pending_reads + region.pending_writes
@@ -176,13 +186,25 @@ class BufferPoolManager(TieredMemoryManager):
                 referenced = np.zeros(n, dtype=bool)
             states.append((region, counts, region.pending_writes, referenced))
             in_dram = region.tier == Tier.DRAM
-            for page in np.nonzero(referenced & ~in_dram)[0]:
-                candidates.append((-counts[page], idx, int(page)))
-            for page in np.nonzero(in_dram)[0]:
-                dram_pages.append((idx, int(page)))
-        if not candidates:
+            pages = np.flatnonzero(referenced & ~in_dram)
+            cand_count.append(counts[pages])
+            cand_idx.append(np.full(len(pages), idx))
+            cand_page.append(pages)
+            pages = np.flatnonzero(in_dram)
+            ring_idx.append(np.full(len(pages), idx))
+            ring_page.append(pages)
+        if not any(len(pages) for pages in cand_page):
             return
-        candidates.sort()
+        # Hottest first, then by region and page: the (idx, page) pairs
+        # are unique, so the order is total.
+        c_count = np.concatenate(cand_count)
+        c_idx = np.concatenate(cand_idx)
+        c_page = np.concatenate(cand_page)
+        order = np.lexsort((c_page, c_idx, -c_count))
+        candidates = zip(c_count[order].tolist(), c_idx[order].tolist(),
+                         c_page[order].tolist())
+        dram_pages = list(zip(np.concatenate(ring_idx).tolist(),
+                              np.concatenate(ring_page).tolist()))
         budget = max(int(total_pages * self.max_sweep_fraction), 1)
         fetch = self.stats.counter("fetch.bytes_moved")
         writeback = self.stats.counter("writeback.bytes_moved")
@@ -190,7 +212,7 @@ class BufferPoolManager(TieredMemoryManager):
         moved = 0
         touched = set()
         free = max(self._budget_pages - self._dram_pages_used, 0)
-        for neg_count, idx, page in candidates:
+        for count, idx, page in candidates:
             if moved >= budget:
                 break
             region = states[idx][0]
@@ -205,7 +227,7 @@ class BufferPoolManager(TieredMemoryManager):
                 continue
             if not dram_pages:
                 break
-            victim = self._clock_victim(dram_pages, states, -neg_count)
+            victim = self._clock_victim(dram_pages, states, count)
             if victim is None:
                 break
             v_idx, v_page = victim

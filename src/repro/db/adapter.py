@@ -11,7 +11,12 @@ root/interior hot, heap long-tailed) survives; only the scale changes.
 The adapter also retains per-transaction touch *templates* — the actual
 page lists of sampled NewOrder/Payment/Delivery executions — and prices
 them against the current page placement by seeded Monte Carlo, which is
-where p99 transaction latency comes from.
+where p99 transaction latency comes from.  Live transactions are priced
+one by one (:meth:`TpccAccessModel.price_txn`) from a placement snapshot
+per arena: a logical→region page list built once per region and the
+region's ``tier`` bytes, re-taken only when its ``tier_version`` moves.
+Every cost is summed in the order the original numpy formula summed it,
+so the snapshot changes no float.
 
 :func:`load_profiled` runs the functional pass (load, profile, compile)
 behind a small in-process memo: every case of a sweep that starts from
@@ -38,6 +43,8 @@ T_DRAM_READ = 82e-9
 T_DRAM_WRITE = 82e-9
 T_NVM_READ = 175e-9
 T_NVM_WRITE = 94e-9
+
+_DRAM = int(Tier.DRAM)
 
 
 class TpccAccessModel:
@@ -73,6 +80,8 @@ class TpccAccessModel:
         self._compiled: Optional[tuple] = None
         #: (placement/pricing key, per-template cost vector), one slot
         self._cost_memo: Optional[tuple] = None
+        #: arena -> (region, tier_version, page map, tier bytes)
+        self._placements: Dict[int, tuple] = {}
 
     # ------------------------------------------------------------ compile
     def compile(self) -> Dict[str, float]:
@@ -150,39 +159,57 @@ class TpccAccessModel:
         return weights / total
 
     # ------------------------------------------------------ txn latency
-    def _compile_touches(self, touches: list, regions: dict) -> dict:
-        """Per arena: the region pages ``touches`` land on and each touch's
-        DRAM and NVM media stall (seconds), in touch order."""
-        cols = {arena_id: ([], []) for arena_id in regions}
-        for arena_id, page, is_write in touches:
-            pages, writes = cols[arena_id]
-            pages.append(page)
-            writes.append(is_write)
-        out = {}
-        for arena_id, region in regions.items():
-            e, slots = self._expansion(arena_id, region)
-            pages, writes = cols[arena_id]
-            pages = np.minimum(np.array(pages, dtype=np.int64) * e // slots,
-                               region.n_pages - 1)
-            w = np.array(writes, dtype=bool)
-            out[arena_id] = (pages,
-                             np.where(w, T_DRAM_WRITE, T_DRAM_READ),
-                             np.where(w, T_NVM_WRITE, T_NVM_READ))
-        return out
+    def _page_map(self, arena_id: int, region) -> list:
+        """The region page each of the arena's logical pages lands on:
+        logical page ``l``'s first 4 KB block is ``l * e``, ``slots``
+        blocks fold onto one region page, clamped to the last page."""
+        e, slots = self._expansion(arena_id, region)
+        pages = np.arange(self._arenas[arena_id].n_pages, dtype=np.int64)
+        return np.minimum(pages * e // slots, region.n_pages - 1).tolist()
+
+    def _placement(self, arena_id: int, region) -> Tuple[list, bytes]:
+        """``(page map, tier bytes)`` for pricing touches on ``region``.
+
+        One slot per arena: the page map is kept while the region stays
+        the same, the ``tier`` snapshot while its ``tier_version`` does.
+        """
+        memo = self._placements.get(arena_id)
+        if memo is not None and memo[0] is region:
+            if memo[1] == region.tier_version:
+                return memo[2], memo[3]
+            page_map = memo[2]
+        else:
+            page_map = self._page_map(arena_id, region)
+        tier = region.tier.tobytes()
+        self._placements[arena_id] = (region, region.tier_version,
+                                      page_map, tier)
+        return page_map, tier
 
     def price_txn(self, touches: list, heap_region, index_region,
                   cpu_ns_per_tx: float = 20_000.0,
                   access_overhead_ns: float = 0.0,
                   mlp: float = 2.0) -> float:
-        """Modeled latency (seconds) of one transaction's touch list."""
-        regions = {HEAP_ARENA: heap_region, INDEX_ARENA: index_region}
+        """Modeled latency (seconds) of one transaction's touch list.
+
+        Each touch's DRAM or NVM media stall goes to its arena's list in
+        touch order, and each arena's stall is one numpy sum of that list,
+        heap then index: the same float64 values in the same order as an
+        ``np.where`` over the arena's touches, so the same pairwise sum.
+        """
+        plans = {HEAP_ARENA: self._placement(HEAP_ARENA, heap_region),
+                 INDEX_ARENA: self._placement(INDEX_ARENA, index_region)}
+        costs = {arena_id: [] for arena_id in plans}
+        for arena_id, page, is_write in touches:
+            page_map, tier = plans[arena_id]
+            if tier[page_map[page]] == _DRAM:
+                cost = T_DRAM_WRITE if is_write else T_DRAM_READ
+            else:
+                cost = T_NVM_WRITE if is_write else T_NVM_READ
+            costs[arena_id].append(cost)
         stall = 0.0
-        for arena_id, (pages, dram_cost, nvm_cost) in self._compile_touches(
-                touches, regions).items():
-            if len(pages):
-                stall += float(np.where(
-                    regions[arena_id].tier[pages] == Tier.DRAM,
-                    dram_cost, nvm_cost).sum())
+        for arena_costs in costs.values():
+            if arena_costs:
+                stall += float(np.array(arena_costs).sum())
         return (cpu_ns_per_tx * 1e-9
                 + len(touches) * access_overhead_ns * 1e-9
                 + stall / mlp)
@@ -230,21 +257,24 @@ class TpccAccessModel:
         return costs
 
     def _compile_templates(self, regions: dict) -> dict:
-        """Per arena: every template's compiled touches, concatenated, plus
-        the bounds of template ``t``'s slice, ``[bounds[t], bounds[t+1])``."""
-        per_template = [self._compile_touches(touches, regions)
-                        for _, touches in self.templates]
-        out = {}
-        for arena_id in regions:
-            parts = [c[arena_id] for c in per_template]
-            bounds = [0]
-            for pages, _, _ in parts:
-                bounds.append(bounds[-1] + len(pages))
-            out[arena_id] = (np.concatenate([p[0] for p in parts]),
-                             np.concatenate([p[1] for p in parts]),
-                             np.concatenate([p[2] for p in parts]),
-                             bounds)
-        return out
+        """Per arena: every template's touches, concatenated in template
+        then touch order, as (region page, DRAM stall, NVM stall) arrays,
+        plus the bounds of template ``t``'s slice, ``[bounds[t],
+        bounds[t+1])``."""
+        maps = {arena_id: self._page_map(arena_id, region)
+                for arena_id, region in regions.items()}
+        cols = {arena_id: ([], [], [], [0]) for arena_id in regions}
+        for _, touches in self.templates:
+            for arena_id, page, is_write in touches:
+                pages, dram, nvm, _ = cols[arena_id]
+                pages.append(maps[arena_id][page])
+                dram.append(T_DRAM_WRITE if is_write else T_DRAM_READ)
+                nvm.append(T_NVM_WRITE if is_write else T_NVM_READ)
+            for pages, _, _, bounds in cols.values():
+                bounds.append(len(pages))
+        return {arena_id: (np.array(pages, dtype=np.int64), np.array(dram),
+                           np.array(nvm), bounds)
+                for arena_id, (pages, dram, nvm, bounds) in cols.items()}
 
     def txn_latency_percentiles(
         self,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 from typing import Iterator, List, Optional, Tuple
 
-from repro.db.pages import PageAllocator, Touch
+from repro.db.pages import PageAllocator, Touch, restore_attributes
 
 
 class _Node:
@@ -38,6 +38,8 @@ class BTree:
     keys (the root is exempt from the minimum); leaves hold between
     ``ceil(order/2)`` and ``order`` entries.
     """
+
+    __setstate__ = restore_attributes
 
     def __init__(self, name: str, allocator: PageAllocator, touch: Touch,
                  arena_id: int, order: int = 32):

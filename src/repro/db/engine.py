@@ -15,6 +15,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.db.loader import TouchRecord, TpccStorage
+from repro.db.pages import restore_attributes
 from repro.db.schema import (
     MIX_WEIGHTS, NURAND_C_ID, NURAND_OL_I_ID, TABLES,
 )
@@ -22,6 +23,8 @@ from repro.db.schema import (
 
 class TpccEngine:
     """Deterministic TPC-C mix over a loaded storage."""
+
+    __setstate__ = restore_attributes
 
     def __init__(self, storage: TpccStorage, rng: np.random.Generator):
         self.storage = storage
@@ -32,7 +35,11 @@ class TpccEngine:
         self.n_customers = scale.rows("customer") // scale.warehouses
         self.n_items = scale.rows("item")
         self._names = list(MIX_WEIGHTS)
-        self._weights = np.array([MIX_WEIGHTS[n] for n in self._names])
+        weights = np.array([MIX_WEIGHTS[n] for n in self._names])
+        # Generator.choice(n, p=weights)'s own arithmetic, done once: it
+        # normalizes the cumulative sum and bisects one random() draw.
+        self._cdf = weights.cumsum()
+        self._cdf /= self._cdf[-1]
         # next order id per (warehouse, district); delivery consumes the
         # oldest undelivered order per district, as the spec's queue does.
         self._next_o_id: Dict[tuple, int] = {}
@@ -52,11 +59,16 @@ class TpccEngine:
         return self._nurand(8191, NURAND_OL_I_ID, 0, self.n_items - 1) \
             % self.n_items
 
+    def _pick_txn(self) -> str:
+        """The next transaction's name: one ``random()`` draw, exactly as
+        ``rng.choice(len(names), p=weights)`` would pick it."""
+        return self._names[int(self._cdf.searchsorted(self.rng.random(),
+                                                      side="right"))]
+
     def run_one(self) -> tuple[str, List[TouchRecord]]:
         """Execute one mix-weighted transaction; returns
         ``(txn_name, touches)``."""
-        name = self._names[int(self.rng.choice(len(self._names),
-                                               p=self._weights))]
+        name = self._pick_txn()
         self.storage.begin_txn()
         getattr(self, "_" + name)()
         touches = self.storage.commit()

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.db.pages import DB_PAGE, PageAllocator, Touch
+from repro.db.pages import DB_PAGE, PageAllocator, Touch, restore_attributes
 
 Rid = Tuple[int, int]
 
@@ -24,6 +24,8 @@ class HeapFile:
     functional database rotates instead, which keeps the page-touch
     distribution honest: fresh inserts always land on the write head).
     """
+
+    __setstate__ = restore_attributes
 
     def __init__(self, name: str, row_bytes: int, allocator: PageAllocator,
                  touch: Touch, arena_id: int, page_bytes: int = DB_PAGE):

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.db.btree import BTree
 from repro.db.heap import HeapFile
-from repro.db.pages import DB_PAGE, Arena
+from repro.db.pages import DB_PAGE, Arena, restore_attributes
 from repro.db.schema import DbScale, TABLES
 
 #: arena ids used in touch records
@@ -30,6 +30,8 @@ TouchRecord = Tuple[int, int, bool]
 
 class TpccStorage:
     """Heap files + B-tree indexes over two touch-recorded arenas."""
+
+    __setstate__ = restore_attributes
 
     #: tables that get a B-tree primary index (the mix probes these);
     #: history/order_line are append-mostly and scanned via rids.

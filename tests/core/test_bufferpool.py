@@ -131,6 +131,28 @@ class TestAccounting:
         assert pool._dram_pages_used == 0
         assert index not in pool._pinned
 
+    @staticmethod
+    def _held(*regions):
+        return sum(int((r.tier == Tier.DRAM).sum()) for r in regions)
+
+    def test_re_advice_charges_the_budget_once(self, pool):
+        index = pool.mmap(8 * PAGE, name="idx")
+        pool.advise(index, "index")
+        pool.advise(index, "index")
+        assert self._held(index) == 8
+        assert pool._dram_pages_used == 8
+        pool.munmap(index)
+        assert pool._dram_pages_used == 0
+
+    def test_advice_after_prefault_charges_the_budget_once(self, pool):
+        index = pool.mmap(8 * PAGE, name="idx")
+        pool.prefault(index)  # clocked until advised: fills 8 pages
+        pool.advise(index, "index")
+        assert self._held(index) == 8
+        assert pool._dram_pages_used == 8
+        pool.munmap(index)
+        assert pool._dram_pages_used == 0
+
     def test_fetch_and_writeback_counters_move(self, pool):
         heap = pool.mmap(8 * PAGE, name="heap")
         heap.pending_reads[:2] = 100

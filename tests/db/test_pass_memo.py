@@ -7,6 +7,8 @@ afterwards, and the same live transactions from then on, while every
 caller still mutates a storage of its own.
 """
 
+import types
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,36 @@ def weights(model):
     regions = {HEAP_ARENA: _FakeRegion(64), INDEX_ARENA: _FakeRegion(16)}
     return [model.region_weights(arena, region, writes_only=writes)
             for arena, region in regions.items() for writes in (False, True)]
+
+
+def same(a, b, restored) -> bool:
+    """``b`` is a restored copy of ``a``: the same types, the same
+    attribute names in the same order, and equal values all the way down.
+    ``restored`` maps each visited original object's id to its copy."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(
+            same(x, y, restored) for x, y in zip(a, b))
+    if isinstance(a, dict):
+        return list(a) == list(b) and all(
+            same(a[k], b[k], restored) for k in a)
+    if isinstance(a, types.MethodType):
+        return a.__func__ is b.__func__ and same(a.__self__, b.__self__,
+                                                 restored)
+    slots = getattr(type(a), "__slots__", None)
+    if slots is None and not hasattr(a, "__dict__"):
+        return a == b
+    if id(a) in restored:
+        return restored[id(a)] is b
+    restored[id(a)] = b
+    if slots is not None:
+        return all(same(getattr(a, n), getattr(b, n), restored)
+                   for n in slots)
+    return list(vars(a)) == list(vars(b)) and all(
+        same(v, getattr(b, k), restored) for k, v in vars(a).items())
 
 
 def shared_arrays(model):
@@ -127,6 +159,18 @@ class TestPassMemo:
             assert structure.touch.__self__ is storage
         name, touches = hot.engine.run_one()
         assert touches, "a live transaction's touches reach its storage"
+
+    def test_restore_keeps_every_attribute(self, memo):
+        cold, _ = profiled()
+        hot, _ = profiled()
+        for model in (cold, hot):
+            model.engine.rng = None  # compared through its state above
+        restored = {}
+        assert same(cold.storage, hot.storage, restored)
+        assert same(cold.engine, hot.engine, restored)
+        assert {type(b).__name__ for b in restored.values()} >= {
+            "TpccStorage", "TpccEngine", "Arena", "PageAllocator",
+            "HeapFile", "BTree"}
 
     @pytest.mark.parametrize("change", [
         {"seed": 7},
