@@ -288,6 +288,59 @@ class PageStore:
             self.prev[head] = pid
             self._head[lid] = pid
 
+    def requeue(self, pids, lids, fronts) -> None:
+        """Move each of ``pids``, in order, to the front (where ``fronts``
+        is true) or the back of list ``lids[i]``.
+
+        Leaves what :meth:`detach` then :meth:`push_front` or
+        :meth:`push_back` per pid would, with the links kept in locals.
+        """
+        prev = self.prev
+        nxt = self.next
+        list_id = self.list_id
+        head = self._head
+        tail = self._tail
+        count = self._count
+        nbytes = self._nbytes
+        psize = self.psize
+        for pid, lid, front in zip(pids, lids, fronts):
+            size = psize[pid]
+            old = list_id[pid]
+            if old != NO_LIST:
+                p = prev[pid]
+                n = nxt[pid]
+                if p >= 0:
+                    nxt[p] = n
+                else:
+                    head[old] = n
+                if n >= 0:
+                    prev[n] = p
+                else:
+                    tail[old] = p
+                count[old] -= 1
+                nbytes[old] -= size
+            list_id[pid] = lid
+            count[lid] += 1
+            nbytes[lid] += size
+            if front:
+                n = head[lid]
+                prev[pid] = -1
+                nxt[pid] = n
+                if n < 0:
+                    tail[lid] = pid
+                else:
+                    prev[n] = pid
+                head[lid] = pid
+            else:
+                p = tail[lid]
+                prev[pid] = p
+                nxt[pid] = -1
+                if p < 0:
+                    head[lid] = pid
+                else:
+                    nxt[p] = pid
+                tail[lid] = pid
+
     def unlink(self, lid: int, pid: int) -> None:
         """Detach ``pid`` from list ``lid`` (caller guarantees membership)."""
         p = self.prev[pid]

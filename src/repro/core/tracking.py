@@ -19,7 +19,9 @@ Per-page state lives in the flat columns of
 Sampled accesses enter through one path, the batched
 :meth:`HotColdTracker.record_samples` the PEBS drain thread calls (a single
 record is a one-record batch); page-table scans use
-:meth:`HotColdTracker.record_scan_hit`.
+:meth:`HotColdTracker.record_scan_hit`.  A large drained batch is applied
+with numpy, one cooling-clock segment at a time, with one relink of the
+FIFO lists per batch; it leaves exactly what the per-record loop leaves.
 """
 
 from __future__ import annotations
@@ -40,11 +42,19 @@ from repro.core.pagestore import (
     PageStore,
 )
 from repro.mem.page import Tier
-from repro.mem.pebs import PebsEventKind
+from repro.mem.pebs import PebsBatch, PebsEventKind
 from repro.mem.region import Region
 from repro.obs.events import CoolingPass, PageClassified
 
 _STORE_KIND = PebsEventKind.STORE
+
+
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """Stable argsort of non-negative int64 ``keys``; numpy radix-sorts
+    16-bit keys, so they are narrowed when they fit."""
+    if keys.max() < 1 << 16:
+        keys = keys.astype(np.uint16)
+    return np.argsort(keys, kind="stable")
 
 
 class HotColdTracker:
@@ -191,6 +201,13 @@ class HotColdTracker:
         return sum(nbytes[(int(t) << 1) | 1] for t in tiers)
 
     # -- sampling --------------------------------------------------------------
+    #: Records from which :meth:`record_samples` applies a drained
+    #: :class:`~repro.mem.pebs.PebsBatch` with numpy (:meth:`_apply_batch`).
+    #: Measured on fig10 drain batches on a 2-vCPU host: the loop costs
+    #: 117-276 us at 256 records against 242-332 us, 310-408 us at 512
+    #: against 383-445 us, and 887-916 us at 1,024 against 534-557 us.
+    BATCH_MIN_RECORDS = 512
+
     def record_samples(self, chunks) -> None:
         """Apply a batch of PEBS records (the drain-thread hot loop).
 
@@ -204,7 +221,21 @@ class HotColdTracker:
         produced by the batch (``CoolingPass``, ``PageClassified``) are
         accumulated in order and flushed to the tracer in a single
         ``extend``.
+
+        A :class:`~repro.mem.pebs.PebsBatch` of at least
+        ``BATCH_MIN_RECORDS`` records goes to :meth:`_apply_batch`, which
+        leaves the same columns, list order, clock and counters.  The loop
+        below still applies smaller batches, any batch while a tracer is
+        installed (so trace events keep the loop's order) and any batch
+        holding a page not yet tracked.
         """
+        if (
+            type(chunks) is PebsBatch
+            and chunks.n_records >= self.BATCH_MIN_RECORDS
+            and self._tracer is None
+            and self._apply_batch(chunks)
+        ):
+            return
         store = self.store
         reads = store.reads
         writes = store.writes
@@ -280,6 +311,239 @@ class HotColdTracker:
             self._event_buffer = None
         if events:
             tracer.events.extend(events)
+
+    def _apply_batch(self, batch: PebsBatch) -> bool:
+        """Apply ``batch`` with numpy, leaving what the record loop leaves.
+
+        Returns False, having only bound the batch's regions, when a page
+        in it is not tracked yet; the loop then applies the batch.
+
+        The records are sorted by page once (:meth:`_group_batch`) and the
+        cooling clock is walked one segment at a time
+        (:meth:`_walk_segments`).  Every ``_reclassify`` the loop would
+        make is then evaluated at once, in (page, record) order: a cooling
+        evaluation before a page's first record in a segment when the page
+        is stale, and one per record.  A list operation happens where the
+        hot class flips, or where the page turns write-heavy under
+        ``write_priority`` (a move to the front).  Nothing in a batch reads
+        list order, so only each page's last operation decides where it
+        ends up: the moved pages are unlinked and pushed again in the
+        order of their last operations.
+        """
+        grouped = self._group_batch(batch)
+        if grouped is None:
+            return False
+        order, starts, ends, upids, n_pages, stores_before = grouped
+        n = len(order)
+        index = np.arange(n + 1)
+        loads_before = index - stores_before
+        r, w, c, run_first, stale, cooled_r, cooled_w, trigger = (
+            self._walk_segments(order, starts, ends, upids,
+                                loads_before, stores_before))
+
+        # The counts after each record, halved on a record that advanced
+        # the clock, and the class they give.
+        run = np.maximum.accumulate(np.where(run_first[:n], index[:n], 0))
+        counts = cooled_w[run] - stores_before[run] + stores_before[1:]
+        counts >>= trigger
+        rec_wh = counts >= self._hot_writes
+        counts = cooled_r[run] - loads_before[run] + loads_before[1:]
+        counts >>= trigger
+        rec_hot = counts >= self._hot_reads
+        rec_hot |= rec_wh
+        del run, counts
+        # The class before each record: the page's previous record's, or
+        # its list and WRITE_HEAVY flag before the batch...
+        store = self.store
+        flags = np.frombuffer(store.flags, dtype=np.uint8)
+        f0 = flags[upids]
+        lid0 = np.frombuffer(store.list_id, dtype=np.uint8)[upids]
+        prev_hot = np.empty(n + 1, dtype=bool)
+        prev_hot[1:n] = rec_hot[:-1]
+        prev_hot[starts] = lid0 & 1  # index n takes the padding pages
+        prev_hot = prev_hot[:n]
+        prev_wh = np.empty(n + 1, dtype=bool)
+        prev_wh[1:n] = rec_wh[:-1]
+        prev_wh[starts] = f0 & WRITE_HEAVY
+        prev_wh = prev_wh[:n]
+        # ...and after the cooling evaluation that comes first when the
+        # record is a stale page's first in a segment.
+        cooling = run_first[:n] & stale[:n]
+        cool_wh = cooled_w[:n] >= self._hot_writes
+        mid_wh = np.where(cooling, cool_wh, prev_wh)
+        cool_hot = cooled_r[:n] >= self._hot_reads
+        cool_hot |= cool_wh
+        mid_hot = np.where(cooling, cool_hot, prev_hot)
+        cool_op = mid_hot != prev_hot
+        rec_op = rec_hot != mid_hot
+        write_priority = self._write_priority
+        if write_priority:
+            cool_op |= mid_wh & ~prev_wh
+            rec_op |= rec_wh & ~mid_wh
+        # Each page's last list operation as a slot: 2k for the cooling
+        # evaluation before sorted record k, 2k + 1 for record k's own.
+        op_slot = np.full(n + 1, -1)
+        slots = 2 * index[:n]
+        np.copyto(op_slot[:n], slots, where=cool_op)
+        slots += 1
+        np.copyto(op_slot[:n], slots, where=rec_op)
+        del slots
+        last = np.maximum.reduceat(op_slot, starts)
+        last[(f0 & UNDER_MIGRATION) != 0] = -1  # the migrator re-homes it
+        moved = last >= 0
+        n_moved = int(np.count_nonzero(moved))
+        if n_moved:
+            rec = last >> 1
+            own = last & 1
+            hot = np.where(own, rec_hot[rec], mid_hot[rec])
+            front = hot & np.where(own, rec_wh[rec], mid_wh[rec])
+            front &= write_priority
+            tier = np.frombuffer(store.tier, dtype=np.uint8)[upids]
+            target = tier.astype(np.int64) * 2 + hot
+            # Unmoved pages first, then the moved ones in the order of
+            # their last operations: replaying only those leaves every
+            # list as all of the batch's operations would.
+            by_time = _stable_argsort(
+                np.where(moved, order[rec] * 2 + own + 1, 0))
+            skip = len(upids) - n_moved
+            store.requeue(
+                upids[by_time].tolist()[skip:],
+                target[by_time].tolist()[skip:],
+                front[by_time].tolist()[skip:],
+            )
+
+        f = f0 & (0xFF ^ WRITE_HEAVY)
+        f |= rec_wh[ends - 1]
+        if self._shadow_tracking:
+            stored = stores_before[ends] > stores_before[starts]
+            stored &= np.frombuffer(store.shadow, dtype=np.int64)[upids] >= 0
+            np.bitwise_or(f, DIRTY, out=f, where=stored)
+        real = upids[:n_pages]
+        flags[real] = f[:n_pages]
+        np.frombuffer(store.reads, dtype=np.uint32)[real] = r[:n_pages]
+        np.frombuffer(store.writes, dtype=np.uint32)[real] = w[:n_pages]
+        np.frombuffer(store.clock, dtype=np.uint32)[real] = c[:n_pages]
+        self._samples.add(n)
+        return True
+
+    def _group_batch(self, batch: PebsBatch):
+        """The batch's records sorted by page, or None if one is untracked.
+
+        Returns ``(order, starts, ends, upids, n_pages, stores_before)``:
+        ``order`` sorts the records by pid, in record order within a pid.
+        Page ``j`` (pid ``upids[j]``) has the sorted positions
+        ``[starts[j], ends[j])``.  The page arrays are padded to a multiple
+        of 128 entries with pages that have no records (``starts = ends =
+        n``) past the ``n_pages`` real ones: their sizes then repeat from
+        batch to batch, and numpy's cache of small freed blocks does not
+        fill up with every size in turn.  ``stores_before[k]`` counts the
+        stores among the first ``k`` sorted records.
+        """
+        store = self.store
+        bind = store.bind_region
+        flat: List[int] = []
+        bases = []
+        lengths = []
+        kinds = []
+        # Bind every region before taking views: binding can grow the
+        # columns, which a live view would block.
+        for kind, region, pages in batch:
+            bases.append(bind(region))
+            lengths.append(len(pages))
+            kinds.append(kind is _STORE_KIND)
+            flat.extend(pages)
+        n = len(flat)
+        pids = np.array(flat, dtype=np.int64)
+        del flat
+        pids += np.repeat(bases, lengths)
+        flags = np.frombuffer(store.flags, dtype=np.uint8)
+        if np.count_nonzero(flags[pids] & TRACKED) < n:
+            return None
+        order = _stable_argsort(pids - pids.min())
+        sorted_pids = pids[order]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(sorted_pids[1:], sorted_pids[:-1], out=first[1:])
+        n_pages = int(np.count_nonzero(first))
+        width = -(-n_pages // 128) * 128
+        starts = np.full(width, n)
+        np.compress(first, np.arange(n), out=starts[:n_pages])
+        ends = np.full(width, n)
+        ends[:-1] = starts[1:]
+        upids = sorted_pids[np.minimum(starts, n - 1)]
+        stores_before = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.repeat(kinds, lengths)[order], out=stores_before[1:])
+        return order, starts, ends, upids, n_pages, stores_before
+
+    def _walk_segments(self, order, starts, ends, upids,
+                       loads_before, stores_before):
+        """Advance the cooling clock through a grouped batch.
+
+        A segment ends at the first record whose page reaches the cooling
+        threshold: the page's counts cooled to the segment's clock, plus
+        its records in the segment.  That record advances the clock
+        (``_advance_clock``) and halves its page; every other page the
+        segment touches takes the segment's clock.  Each segment is one
+        step over the batch's pages.
+
+        Returns the pages' final ``(reads, writes, clock)`` and, per sorted
+        position, ``run_first`` (the page's first record in a segment),
+        ``stale`` (the page was cooled there), ``cooled_reads`` /
+        ``cooled_writes`` (its counts after that cooling; both set only
+        where ``run_first``) and ``trigger`` (the record advanced the
+        clock).
+        """
+        store = self.store
+        n = len(order)
+        r = np.frombuffer(store.reads, dtype=np.uint32)[upids].astype(np.int64)
+        w = np.frombuffer(store.writes, dtype=np.uint32)[upids].astype(np.int64)
+        c = np.frombuffer(store.clock, dtype=np.uint32)[upids].astype(np.int64)
+        # (page, record) as one ascending key over the sorted positions.
+        key = np.repeat(np.arange(len(starts)) * n, ends - starts) + order
+        page_key = np.arange(len(starts)) * n
+        pos = starts  # each page's first record not yet applied
+        # Index n takes the writes for pages a segment does not touch.
+        run_first = np.zeros(n + 1, dtype=bool)
+        stale = np.zeros(n + 1, dtype=bool)
+        cooled_r = np.zeros(n + 1, dtype=np.int64)
+        cooled_w = np.zeros(n + 1, dtype=np.int64)
+        trigger = np.zeros(n, dtype=bool)
+        threshold = self._cooling_threshold
+        gclock = self.global_clock
+        while True:
+            shift = np.minimum(gclock - c, 30)
+            r0 = r >> shift
+            w0 = w >> shift
+            # The sorted position at which each page would reach the
+            # threshold, and that record's place in the batch.
+            at = pos + np.maximum(threshold - r0 - w0, 1) - 1
+            reach = np.where(at < ends, order[np.minimum(at, n - 1)], n)
+            j = int(reach.argmin())
+            end = int(reach[j])
+            if end < n:
+                pos_next = np.searchsorted(key, page_key + end, side="right")
+            else:
+                pos_next = ends
+            touched = pos_next > pos
+            slot = np.where(touched, pos, n)
+            run_first[slot] = True
+            stale[slot] = c < gclock
+            cooled_r[slot] = r0
+            cooled_w[slot] = w0
+            r = np.where(touched, r0, r)
+            r += loads_before[pos_next] - loads_before[pos]
+            w = np.where(touched, w0, w)
+            w += stores_before[pos_next] - stores_before[pos]
+            c[touched] = gclock
+            pos = pos_next
+            if end == n:
+                return r, w, c, run_first, stale, cooled_r, cooled_w, trigger
+            trigger[at[j]] = True
+            self._advance_clock()
+            gclock = self.global_clock
+            r[j] >>= 1
+            w[j] >>= 1
+            c[j] = gclock
 
     def record_scan_hit(self, region: Region, page: int, accessed: bool, dirty: bool) -> None:
         """Apply one page-table scan observation (HeMem-PT ablations)."""

@@ -19,6 +19,7 @@ from repro.db.pages import restore_attributes
 from repro.db.schema import (
     MIX_WEIGHTS, NURAND_C_ID, NURAND_OL_I_ID, TABLES,
 )
+from repro.sim.rng import WeightedChoice
 
 
 class TpccEngine:
@@ -35,11 +36,7 @@ class TpccEngine:
         self.n_customers = scale.rows("customer") // scale.warehouses
         self.n_items = scale.rows("item")
         self._names = list(MIX_WEIGHTS)
-        weights = np.array([MIX_WEIGHTS[n] for n in self._names])
-        # Generator.choice(n, p=weights)'s own arithmetic, done once: it
-        # normalizes the cumulative sum and bisects one random() draw.
-        self._cdf = weights.cumsum()
-        self._cdf /= self._cdf[-1]
+        self._mix = WeightedChoice([MIX_WEIGHTS[n] for n in self._names])
         # next order id per (warehouse, district); delivery consumes the
         # oldest undelivered order per district, as the spec's queue does.
         self._next_o_id: Dict[tuple, int] = {}
@@ -62,8 +59,7 @@ class TpccEngine:
     def _pick_txn(self) -> str:
         """The next transaction's name: one ``random()`` draw, exactly as
         ``rng.choice(len(names), p=weights)`` would pick it."""
-        return self._names[int(self._cdf.searchsorted(self.rng.random(),
-                                                      side="right"))]
+        return self._names[self._mix.draw(self.rng)]
 
     def run_one(self) -> tuple[str, List[TouchRecord]]:
         """Execute one mix-weighted transaction; returns

@@ -32,3 +32,22 @@ def _to_int(value) -> int:
             h = ((h ^ byte) * 0x01000193) & 0xFFFFFFFF
         return h
     raise TypeError(f"cannot derive RNG stream from {type(value).__name__}")
+
+
+class WeightedChoice:
+    """Draw indices in proportion to fixed ``weights``, draw for draw as
+    ``rng.choice(len(weights), p=weights)`` would.
+
+    ``Generator.choice`` rebuilds the normalized cumulative sum on every
+    call and then bisects one ``random()`` draw; this builds it once.
+    """
+
+    __slots__ = ("_cdf",)
+
+    def __init__(self, weights):
+        cdf = np.cumsum(np.asarray(weights, dtype=np.float64))
+        cdf /= cdf[-1]
+        self._cdf = cdf
+
+    def draw(self, rng: np.random.Generator) -> int:
+        return int(self._cdf.searchsorted(rng.random(), side="right"))

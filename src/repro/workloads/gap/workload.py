@@ -89,6 +89,8 @@ class BcWorkload(Workload):
         self.state_region = None
         self._graph_weights: Optional[np.ndarray] = None
         self._state_weights: Optional[np.ndarray] = None
+        #: the vertex whose traversal sized an iteration (set in setup)
+        self.source: Optional[int] = None
         self._ops_per_iteration = 0.0
         self._ops_into_iteration = 0.0
         self.iterations_done = 0
@@ -106,7 +108,14 @@ class BcWorkload(Workload):
         self.graph = CsrGraph(1 << cfg.actual_scale, edges)
 
         # Measure traversal work for one source on the functional graph.
-        source = int(rng.integers(0, self.graph.n_vertices))
+        # Like GAP's SourcePicker, redraw a source with no out-edges: its
+        # traversal would measure no work at all.
+        n_vertices = self.graph.n_vertices
+        out_degrees = self.graph.out_degrees()
+        source = int(rng.integers(0, n_vertices))
+        while out_degrees[source] == 0 and out_degrees.any():
+            source = int(rng.integers(0, n_vertices))
+        self.source = source
         sample = bc_from_source(self.graph, source)
         ratio = cfg.logical_vertices / self.graph.n_vertices
         self._ops_per_iteration = max(

@@ -16,6 +16,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
+from repro.sim.rng import WeightedChoice
 from repro.workloads.silo.db import Database, TransactionAborted
 
 #: TPC-C transaction mix (standard weights).
@@ -65,7 +66,7 @@ class TpccDriver:
         self.executed: Dict[str, int] = {name: 0 for name, _w in MIX}
         self.aborted: Dict[str, int] = {name: 0 for name, _w in MIX}
         self._mix_names = [name for name, _w in MIX]
-        self._mix_weights = np.array([w for _n, w in MIX])
+        self._mix = WeightedChoice([w for _n, w in MIX])
         self._load()
 
     # -- loader ---------------------------------------------------------------
@@ -112,9 +113,7 @@ class TpccDriver:
         """Execute one transaction from the mix; returns its name."""
         if home_warehouse is None:
             home_warehouse = int(self.rng.integers(0, self.config.warehouses))
-        name = self._mix_names[
-            int(self.rng.choice(len(self._mix_names), p=self._mix_weights))
-        ]
+        name = self._mix_names[self._mix.draw(self.rng)]
         runner = getattr(self, f"_tx_{name}")
         try:
             runner(home_warehouse)

@@ -190,6 +190,24 @@ class TestBcWorkload:
         e2.run(600.0)
         assert w2.iteration_times[0] > 2.0 * w1.iteration_times[0]
 
+    def test_isolated_source_is_redrawn(self):
+        """At seed 1 the first vertex drawn (fig14-16's graph) has no
+        out-edges; setup draws again, as GAP's SourcePicker does, so an
+        iteration is sized by real traversal work."""
+        from repro.sim.rng import make_rng
+
+        config = BcConfig(logical_vertices=1 << 21, actual_scale=13)
+        rng = make_rng(1, "workload")
+        graph = CsrGraph(1 << 13, kronecker_edges(13, config.edge_factor, rng))
+        first = int(rng.integers(0, graph.n_vertices))
+        assert graph.out_degrees()[first] == 0
+        machine = Machine(MachineSpec().scaled(64), seed=1)
+        workload = BcWorkload(config)
+        Engine(machine, HeMemManager(), workload, EngineConfig(seed=1))
+        assert workload.source != first
+        assert workload.graph.out_degrees()[workload.source] > 0
+        assert workload._ops_per_iteration > 1.0
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BcConfig(logical_vertices=0)
