@@ -85,9 +85,6 @@ class HotColdTracker:
         self._samples = stats.counter("tracker.samples")
         self._coolings = stats.counter("tracker.cooling_events")
         self._tracer = tracer
-        #: batched-event buffer; non-None only inside ``record_samples``,
-        #: which flushes it to the tracer in one ``extend`` (same order).
-        self._event_buffer = None
         #: non-exclusive tiering support: when enabled (the Nomad policy's
         #: ``bind``), sampled stores to shadow-holding pages set the DIRTY
         #: flag.  Off by default so the exclusive-tiering hot loop pays a
@@ -98,21 +95,13 @@ class HotColdTracker:
         """Fold sampled stores into per-page dirty bits (shadow copies)."""
         self._shadow_tracking = True
 
-    def _emit(self, event) -> None:
-        """Route one trace event through the batch buffer when active."""
-        buffer = self._event_buffer
-        if buffer is not None:
-            buffer.append(event)
-        else:
-            self._tracer.emit(event)
-
     def _advance_clock(self) -> None:
         """Tick the global cooling clock (and trace the pass)."""
         self.global_clock += 1
         self._coolings.add(1)
         tracer = self._tracer
         if tracer is not None:
-            self._emit(CoolingPass(tracer.now, self.global_clock))
+            tracer.emit(CoolingPass(tracer.now, self.global_clock))
 
     # -- structure ------------------------------------------------------------
     def list_for(self, tier: Tier, hot: bool) -> PageFifo:
@@ -218,9 +207,8 @@ class HotColdTracker:
         clock if the page reached the threshold (the triggering page is
         cooled at once, the rest lazily), reclassify.  How records are cut
         into chunks and batches never changes the outcome.  Trace events
-        produced by the batch (``CoolingPass``, ``PageClassified``) are
-        accumulated in order and flushed to the tracer in a single
-        ``extend``.
+        (``CoolingPass``, ``PageClassified``) go straight to the tracer in
+        record order.
 
         A :class:`~repro.mem.pebs.PebsBatch` of at least
         ``BATCH_MIN_RECORDS`` records goes to :meth:`_apply_batch`, which
@@ -253,64 +241,54 @@ class HotColdTracker:
         shadow = store.shadow if self._shadow_tracking else None
         cool_if_stale = self.cool_if_stale
         reclassify = self._reclassify
-        tracer = self._tracer
-        events = None
-        if tracer is not None:
-            events = []
-            self._event_buffer = events
-        try:
-            bind = store.bind_region
-            base = -1
-            last_region = None
-            n_samples = 0
-            gclock = self.global_clock
-            for kind, region, pages in chunks:
-                if region is not last_region:
-                    base = bind(region)
-                    last_region = region
-                if kind is _STORE_KIND:
-                    counts = writes
-                    dirty = shadow
-                else:
-                    counts = reads
-                    dirty = None
-                n_samples += len(pages)
-                for page in pages:
-                    pid = base + page
-                    if not flags[pid] & TRACKED:
-                        self._track_pid(pid, region, page)
-                    if gclock - clock[pid] > 0:
-                        cool_if_stale(pid)
-                    counts[pid] += 1
-                    if dirty is not None and dirty[pid] >= 0:
-                        flags[pid] |= DIRTY
+        bind = store.bind_region
+        base = -1
+        last_region = None
+        n_samples = 0
+        gclock = self.global_clock
+        for kind, region, pages in chunks:
+            if region is not last_region:
+                base = bind(region)
+                last_region = region
+            if kind is _STORE_KIND:
+                counts = writes
+                dirty = shadow
+            else:
+                counts = reads
+                dirty = None
+            n_samples += len(pages)
+            for page in pages:
+                pid = base + page
+                if not flags[pid] & TRACKED:
+                    self._track_pid(pid, region, page)
+                if gclock - clock[pid] > 0:
+                    cool_if_stale(pid)
+                counts[pid] += 1
+                if dirty is not None and dirty[pid] >= 0:
+                    flags[pid] |= DIRTY
+                r = reads[pid]
+                w = writes[pid]
+                if r + w >= cooling_threshold:
+                    self._advance_clock()
+                    gclock = self.global_clock
+                    cool_if_stale(pid)
                     r = reads[pid]
                     w = writes[pid]
-                    if r + w >= cooling_threshold:
-                        self._advance_clock()
-                        gclock = self.global_clock
-                        cool_if_stale(pid)
-                        r = reads[pid]
-                        w = writes[pid]
-                    write_heavy = w >= hot_writes
-                    if (
-                        flags[pid] & skip_mask
-                        == (WRITE_HEAVY if write_heavy else 0)
-                        and list_id[pid]
-                        == (tier_col[pid] << 1) | (write_heavy or r >= hot_reads)
-                    ):
-                        # Not under migration, write-heavy bit current,
-                        # already on the list its tier and heat select:
-                        # _reclassify would be a provable no-op (no move, no
-                        # trace event), so skip the call.
-                        continue
-                    reclassify(pid)
-            if n_samples:
-                self._samples.add(n_samples)
-        finally:
-            self._event_buffer = None
-        if events:
-            tracer.events.extend(events)
+                write_heavy = w >= hot_writes
+                if (
+                    flags[pid] & skip_mask
+                    == (WRITE_HEAVY if write_heavy else 0)
+                    and list_id[pid]
+                    == (tier_col[pid] << 1) | (write_heavy or r >= hot_reads)
+                ):
+                    # Not under migration, write-heavy bit current,
+                    # already on the list its tier and heat select:
+                    # _reclassify would be a provable no-op (no move, no
+                    # trace event), so skip the call.
+                    continue
+                reclassify(pid)
+        if n_samples:
+            self._samples.add(n_samples)
 
     def _apply_batch(self, batch: PebsBatch) -> bool:
         """Apply ``batch`` with numpy, leaving what the record loop leaves.
@@ -603,7 +581,7 @@ class HotColdTracker:
         ):
             # Classification flipped (cold->hot or hot->cold): record the
             # transition and the sample evidence behind it.
-            self._emit(PageClassified(
+            tracer.emit(PageClassified(
                 tracer.now, store.region_ref[pid].name, store.page_no[pid],
                 TIER_NAMES[store.tier[pid]], hot, r, w,
             ))

@@ -20,7 +20,7 @@ directly in ``ui.perfetto.dev`` (or ``chrome://tracing``):
 Timestamps are virtual-time microseconds (the format's native unit).
 
 :func:`validate_chrome_trace` structurally checks a document against the
-trace-event format contract — the CI smoke job runs it on real exports.
+trace-event format contract — the slow test suite runs it on real exports.
 """
 
 from __future__ import annotations

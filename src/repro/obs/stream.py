@@ -117,8 +117,7 @@ class StreamingTracer(Tracer):
     ``now`` setter is therefore a once-per-tick hook where the buffered
     events are appended to the segment writer and the buffer is emptied
     *in place* (``del events[:]``) — emit sites hold the hoisted bound
-    ``events.append`` and the tracking layer extends ``tracer.events``
-    directly, so the list object must never be replaced.
+    ``events.append``, so the list object must never be replaced.
     """
 
     def __init__(self, directory: str,

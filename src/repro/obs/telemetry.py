@@ -432,7 +432,7 @@ class Collector:
 
 
 # ---------------------------------------------------------------------------
-# schema validation (CI's telemetry-smoke contract)
+# schema validation (the contract a collected document and its rendering keep)
 # ---------------------------------------------------------------------------
 
 def snapshot_schema_errors(doc: dict) -> List[str]:

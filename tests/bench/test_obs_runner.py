@@ -1,16 +1,17 @@
 """Observability through the bench runner: capture plumbing, caching of
 metric summaries, and the fig9 trace-vs-counter cross-check."""
 
+import json
 import types
 
 import pytest
 
 from repro.bench.gups_common import run_gups_case
-from repro.bench.registry import get_module
 from repro.bench.report import Table, save_observations
 from repro.bench.runner import Case, ResultCache, RunStats, run_cases, run_experiment
 from repro.bench.scenario import Scenario
 from repro.obs.replay import Trace, load_bench_export
+from repro.obs.stream import iter_segment_events
 from repro.sim.units import GB
 from repro.workloads.gups import GupsConfig
 
@@ -147,19 +148,21 @@ class TestFig9TraceCrossCheck:
     """Acceptance check: fig9 with tracing — migration events in the trace
     must match the engine's migration counters exactly, per case."""
 
-    def test_fig9_trace_counts_match_counters(self):
-        from repro.bench.scenario import fast
-
-        scenario = fast()
-        observations = {}
-        run_experiment(get_module("fig9"), "fig9", scenario, jobs=1,
-                       cache=None, trace=True, observations=observations)
-        assert observations
+    def test_fig9_trace_counts_match_counters(self, fig9_colo_instrumented):
+        # the instrumented CLI run keeps each machine's trace segments
+        # under <perfetto-out>.segments/<experiment>/<case>/m<index>
+        segments = fig9_colo_instrumented / "diagnose.perfetto.json.segments"
+        with open(fig9_colo_instrumented / "metrics.json") as fh:
+            cases = json.load(fh)["experiments"]["fig9"]
+        assert cases
         migrations_seen = 0
-        for obs in observations.values():
-            for events, metrics in zip(obs["trace"], obs["metrics"]):
-                counts = Trace.from_dicts(events).counts_by_kind()
-                migrated = migrated_from_counters(metrics["counters"])
-                assert counts.get("migration_done", 0) == migrated
-                migrations_seen += counts.get("migration_done", 0)
+        for case_key, machines in cases.items():
+            for index, metrics in enumerate(machines):
+                done = sum(
+                    1 for event in iter_segment_events(
+                        str(segments / "fig9" / case_key / f"m{index}"))
+                    if event["kind"] == "migration_done"
+                )
+                assert done == migrated_from_counters(metrics["counters"])
+                migrations_seen += done
         assert migrations_seen > 0

@@ -1,34 +1,15 @@
-"""Tests for the tpcc_buffer experiment: determinism and the crossover.
+"""Tests for the tpcc_buffer experiment's crossover.
 
-The determinism test drives the real experiment module through the case
-runner serially and with a process pool and requires byte-identical
-rendered tables (the ``-j`` path must not perturb results).  The
-crossover test reads the *committed golden table* — no simulation — and
-asserts the directions the experiment exists to show.
+The crossover tests read the *committed golden table* — no simulation —
+and assert the directions the experiment exists to show.  The serial run
+is checked against that table by the golden suite, the ``-j 4`` run by
+``tests/bench/test_cli_runs.py``.
 """
 
 import csv
 from pathlib import Path
 
-import pytest
-
-from repro.bench.experiments import tpcc_buffer
-from repro.bench.runner import ResultCache, run_experiment
-from repro.bench.scenario import Scenario
-
 GOLDEN = Path(__file__).resolve().parents[1] / "golden" / "tpcc_buffer.csv"
-
-
-@pytest.mark.slow
-def test_serial_and_parallel_runs_byte_identical(tmp_path):
-    # Shorter than the fast preset: determinism does not need the golden
-    # durations, only identical inputs on both execution paths.
-    scenario = Scenario(scale=64.0, duration=6.0, warmup=2.0)
-    serial = run_experiment(tpcc_buffer, "tpcc_buffer", scenario, jobs=1,
-                            cache=ResultCache(tmp_path / "serial"))
-    parallel = run_experiment(tpcc_buffer, "tpcc_buffer", scenario, jobs=4,
-                              cache=ResultCache(tmp_path / "parallel"))
-    assert parallel.render() == serial.render()
 
 
 def _golden_txn_rates():

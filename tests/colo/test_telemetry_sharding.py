@@ -13,7 +13,7 @@ tenant-named RNG substreams, uncongested machine).
 from repro.bench.experiments import colo_sharded
 from repro.bench.runner import run_experiment
 from repro.bench.scenario import Scenario
-from repro.colo.sharding import series_differences
+from tests.colo.series import series_differences
 from repro.obs.telemetry import Collector, snapshot_schema_errors
 
 SCENARIO = Scenario(scale=512.0, duration=1.5, warmup=0.5)

@@ -110,3 +110,62 @@ def run_gups_quick(manager, gups_config, duration=6.0, warmup=2.0, scale=64,
         manager, gups_config, duration=duration, warmup=warmup, scale=scale,
         seed=seed, tick=tick,
     )
+
+
+# -- whole-experiment CLI runs, one per experiment and mode (tests/bench/cli.py)
+
+def _cli_run_names(items):
+    from tests.bench.cli import RUNS
+
+    return [name for name in RUNS
+            if any(name in getattr(item, "fixturenames", ()) for item in items)]
+
+
+def pytest_collection_modifyitems(config, items):
+    # Checks on the background CLI runs go last, so the runs get a head start.
+    names = set(_cli_run_names(items))
+    items.sort(key=lambda item: bool(
+        names.intersection(getattr(item, "fixturenames", ()))))
+
+
+def pytest_collection_finish(session):
+    from tests.bench.cli import BackgroundRuns
+
+    runs = BackgroundRuns(session.config._tmp_path_factory)
+    session.config._cli_runs = runs
+    runs.start(_cli_run_names(session.items))
+
+
+def pytest_sessionfinish(session):
+    runs = getattr(session.config, "_cli_runs", None)
+    if runs is not None:
+        runs.stop()
+
+
+def _cli_run(request, name):
+    return request.config._cli_runs.result(name)
+
+
+@pytest.fixture(scope="session")
+def fig9_colo_instrumented(request):
+    return _cli_run(request, "fig9_colo_instrumented")[0]
+
+
+@pytest.fixture(scope="session")
+def fleet_diurnal_telemetry(request):
+    return _cli_run(request, "fleet_diurnal_telemetry")[0]
+
+
+@pytest.fixture(scope="session")
+def colo_sharded_telemetry(request):
+    """Output dir and ``{mode: rendered tables}`` of the two runs."""
+    from tests.bench.cli import table_text
+
+    out, (unsharded, sharded) = _cli_run(request, "colo_sharded_telemetry")
+    return out, {"unsharded": table_text(unsharded),
+                 "sharded": table_text(sharded)}
+
+
+@pytest.fixture(scope="session")
+def policy_tpcc_parallel(request):
+    return _cli_run(request, "policy_tpcc_parallel")[0]

@@ -19,6 +19,7 @@ from repro.obs.events import (
     TenantArrived,
 )
 from repro.obs.replay import Trace
+from repro.obs.stream import load_segment_trace
 from repro.workloads.gups import GupsConfig
 
 PAGE = 2 << 20
@@ -177,12 +178,10 @@ class TestRealRuns:
         assert_every_migrated_page_explained(trace)
 
     @pytest.mark.slow
-    def test_fig9_fast_run_explains_every_migrated_page(self):
-        from repro.bench.registry import get_module
-        from repro.bench.scenario import fast
-
-        scenario = fast()
-        module = get_module("fig9")
-        case = next(c for c in module.cases(scenario) if c.key == "hemem")
-        trace = _captured_trace(lambda: case.fn(scenario, **case.kwargs))
+    def test_fig9_fast_run_explains_every_migrated_page(
+            self, fig9_colo_instrumented):
+        # the hemem case of the instrumented fig9 run, from its segments
+        trace = load_segment_trace(str(
+            fig9_colo_instrumented / "diagnose.perfetto.json.segments"
+            / "fig9" / "hemem" / "m0"))
         assert_every_migrated_page_explained(trace)

@@ -34,9 +34,9 @@ def make_workload(cls, rng):
     ), warmup=0.1)
 
 
-def run(controller="slo", duration=3.0, **kw):
+def run(controller="slo", duration=3.0, workload=make_workload, **kw):
     return run_fleet(
-        small_fleet(), duration=duration, make_workload=make_workload,
+        small_fleet(), duration=duration, make_workload=workload,
         controller=controller, policy="fair", scale=SCALE, seed=7,
         tick=TICK, window=WINDOW, warmup=0.5, **kw,
     )
@@ -77,18 +77,40 @@ class TestRunFleet:
 
 @pytest.mark.slow
 class TestBoundedMemoryCapture:
-    def _max_buffered(self, tmp_path, duration, tag):
+    # The fleet does most of its work in its first two seconds: doubling
+    # a 3 s run adds only about a fifth more trace events, too few to tell
+    # an O(window) buffer from an O(run) one, while doubling a 1 s run
+    # more than doubles them.
+    SHORT, LONG = 1.0, 2.0
+
+    def _capture(self, tmp_path, duration, tag, **kw):
+        """(events traced, buffer high-water mark) of one streamed run."""
         with obs.capture(trace=True, metrics=False,
                          stream_dir=str(tmp_path / tag)) as cap:
-            run(duration=duration)
+            run(duration=duration, **kw)
         traces = [p["trace"] for p in cap.payloads() if "trace" in p]
         assert traces and all(t["streamed"] for t in traces)
         assert all(t["events"] > 0 for t in traces)
-        return max(t["max_buffered"] for t in traces)
+        return (sum(t["events"] for t in traces),
+                max(t["max_buffered"] for t in traces))
 
-    def test_capture_is_o_window_not_o_run(self, tmp_path):
-        short = self._max_buffered(tmp_path, 3.0, "short")
-        long = self._max_buffered(tmp_path, 6.0, "long")
+    def _assert_o_window(self, tmp_path, **kw):
+        events_short, short = self._capture(tmp_path, self.SHORT, "short", **kw)
+        events_long, long = self._capture(tmp_path, self.LONG, "long", **kw)
+        # A buffer that kept the whole run would break the bound below.
+        assert events_long > events_short * 1.5 + 16
         # Streaming keeps at most a tick's burst in memory: doubling the
         # run must not double the buffer high-water mark.
         assert long <= short * 1.5 + 16
+
+    def test_capture_is_o_window_not_o_run(self, tmp_path):
+        self._assert_o_window(tmp_path)
+
+    def test_capture_is_o_window_with_default_gups_threads(self, tmp_path):
+        # GUPS tenants at the default thread count issue a larger burst
+        # per tick; the bound holds all the same.
+        def workload(cls, rng):
+            return GupsWorkload(GupsConfig(working_set=cls.working_set,
+                                           hot_set=cls.hot_set), warmup=0.1)
+
+        self._assert_o_window(tmp_path, workload=workload)
